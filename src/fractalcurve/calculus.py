@@ -45,8 +45,10 @@ class FieldOnCurve:
             self.values = self.values.astype(float)
         if self.values.shape != (self.grid.node_count,):
             raise AlignmentError("one value per grid node is required")
-        if len(self.chart.params) != self.grid.node_count or not np.allclose(
-            self.chart.params, self.grid.params, rtol=0.0, atol=1e-12
+        # build_staircase shares the grid's params array, so identity is alignment
+        if self.chart.params is not self.grid.params and (
+            len(self.chart.params) != self.grid.node_count
+            or not np.allclose(self.chart.params, self.grid.params, rtol=0.0, atol=1e-12)
         ):
             raise AlignmentError("chart knots must align with the grid nodes")
 

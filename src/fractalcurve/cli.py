@@ -48,6 +48,14 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _get(cfg, key, default=None, required=False):
     if key in cfg:
         return cfg[key]
@@ -304,14 +312,16 @@ def cmd_integrate(cfg, out_dir: Path) -> int:
 
 def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     run_cfg = _get(cfg, "run", required=True)
-    d_tau = float(_get(run_cfg, "d_tau", required=True))
+    d_tau = _get(run_cfg, "d_tau", required=True)
+    _require(_is_number(d_tau) and math.isfinite(d_tau) and d_tau > 0,
+             "d_tau must be a positive finite number")
+    d_tau = float(d_tau)
     steps = _get(run_cfg, "steps", required=True)
+    _require(_is_int(steps) and steps >= 1, "steps must be a positive integer")
     stride = _get(run_cfg, "snapshot_stride", max(1, steps // 10))
+    _require(_is_int(stride) and stride >= 1, "snapshot_stride must be a positive integer")
     boundary = _get(run_cfg, "boundary", "dirichlet")
     _require(boundary in ("dirichlet", "periodic"), "boundary must be dirichlet or periodic")
-    _require(isinstance(steps, int) and steps >= 1, "steps must be a positive integer")
-    _require(isinstance(stride, int) and stride >= 1, "snapshot_stride must be a positive integer")
-    _require(d_tau > 0, "d_tau must be positive")
 
     grid = _build_curve(_get(cfg, "curve", required=True))
     alpha = _resolve_alpha(cfg, grid)

@@ -5,8 +5,12 @@ equation into the ordinary 1-D Schrodinger equation
 
     i hbar d(theta)/d(tau) = -hbar^2/(2m) d^2(theta)/d(xi)^2 + V theta,
 
-which is integrated with a Crank-Nicolson scheme (exactly unitary for
-Hermitian discrete Hamiltonians).  Cantor-like time supports are honored
+which is integrated with a Crank-Nicolson scheme (unitary for Hermitian
+discrete Hamiltonians up to linear-solve roundoff).  The implicit
+tridiagonal operator is factored once with LAPACK ``zgttrf`` and each
+step is one ``zgttrs`` solve; the corner couplings of periodic grids are
+folded into a Sherman-Morrison rank-one correction (the cyclic
+tridiagonal method).  Cantor-like time supports are honored
 implicitly: tau is staircase time, so no evolution is attributed to the
 removed gaps where the time staircase is flat.
 
@@ -23,9 +27,8 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .calculus import FieldOnCurve, VectorFieldOnCurve, falpha_integral, gradient, laplacian
 from .curves import CurveGrid
@@ -338,7 +341,9 @@ class CrankNicolsonEvolver:
         if boundary == "dirichlet":
             self.theta[0] = 0.0
             self.theta[-1] = 0.0
-        self._factor = None
+            self._dof = slice(1, -1)
+        else:
+            self._dof = slice(None)
         self._assemble(self.tau)
 
     def _v_at(self, tau: float) -> np.ndarray:
@@ -347,53 +352,63 @@ class CrankNicolsonEvolver:
         return self.v_base * float(self.potential.time_dependence(tau))
 
     def _assemble(self, tau: float):
-        """Build the implicit/explicit operators for the step starting at tau."""
-        v = self._v_at(tau)
-        diag = -2.0 * self._off + v
-        if self.boundary == "dirichlet":
-            ndof = len(self.theta) - 2
-            if ndof < 1:
-                raise SolverError("grid too small for a Dirichlet solve")
-            lam = self._lam
-            self._ab = np.zeros((3, ndof), dtype=complex)
-            self._ab[0, 1:] = 1j * lam * self._off
-            self._ab[1, :] = 1.0 + 1j * lam * diag[1:-1]
-            self._ab[2, :-1] = 1j * lam * self._off
-            self._b_diag = 1.0 - 1j * lam * diag[1:-1]
-            self._b_off = -1j * lam * self._off
-        else:
-            m = len(self.theta)
-            lam = self._lam
-            a = lil_matrix((m, m), dtype=complex)
-            a.setdiag(1.0 + 1j * lam * diag)
-            a.setdiag(1j * lam * self._off * np.ones(m - 1), 1)
-            a.setdiag(1j * lam * self._off * np.ones(m - 1), -1)
-            a[0, m - 1] = 1j * lam * self._off
-            a[m - 1, 0] = 1j * lam * self._off
-            try:
-                self._factor = splu(a.tocsc())
-            except RuntimeError as exc:  # pragma: no cover - degenerate inputs
-                raise SolverError(f"periodic Crank-Nicolson factorization failed: {exc}")
-            self._b_diag_full = 1.0 - 1j * lam * diag
-            self._b_off_full = -1j * lam * self._off
+        """Factor the implicit operator for the step starting at tau.
+
+        A = I + i lam H is tridiagonal on the degrees of freedom, plus the
+        two corner couplings c on periodic grids.  Those are written as
+        A = T + u v^T with u = (g, 0, ..., 0, c), v = (1, 0, ..., 0, c/g)
+        and g = -A[0, 0], so T differs from A's band only in its first
+        and last diagonal entries (T[0, 0] = 2 A[0, 0] suffers no
+        cancellation); z = T^-1 u is solved here once.
+        """
+        periodic = self.boundary == "periodic"
+        diag = (-2.0 * self._off + self._v_at(tau))[self._dof]
+        n = len(diag)
+        if n < 3:
+            raise SolverError(
+                f"{self.boundary} Crank-Nicolson needs at least 3 unknowns, got {n}")
+        lam = self._lam
+        c = 1j * lam * self._off
+        a_diag = 1.0 + 1j * lam * diag
+        self._b_diag = 1.0 - 1j * lam * diag
+        self._b_off = -1j * lam * self._off
+        if periodic:
+            g = -a_diag[0]
+            a_diag[0] -= g
+            a_diag[-1] -= c * c / g
+        *lu, info = zgttrf(np.full(n - 1, c), a_diag, np.full(n - 1, c),
+                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info != 0:
+            raise SolverError(f"Crank-Nicolson factorization failed (LAPACK info {info})")
+        self._lu = lu
+        if periodic:
+            u = np.zeros(n, dtype=complex)
+            u[0], u[-1] = g, c
+            z, _ = zgttrs(*lu, u, overwrite_b=1)
+            self._v_last = c / g
+            self._z = z / (1.0 + z[0] + self._v_last * z[-1])
 
     def step(self, n: int = 1):
         """Advance n Crank-Nicolson steps of d_tau in staircase time."""
         static = self.potential is None or self.potential.is_static
+        periodic = self.boundary == "periodic"
+        rhs = np.empty_like(self._b_diag)
+        b_th = np.empty_like(self._b_diag)
         for _ in range(n):
             if not static:
                 self._assemble(self.tau)
-            if self.boundary == "dirichlet":
-                th = self.theta[1:-1]
-                rhs = self._b_diag * th
-                rhs[1:] += self._b_off * th[:-1]
-                rhs[:-1] += self._b_off * th[1:]
-                self.theta[1:-1] = solve_banded((1, 1), self._ab, rhs)
-            else:
-                rhs = self._b_diag_full * self.theta
-                rhs += self._b_off_full * np.roll(self.theta, 1)
-                rhs += self._b_off_full * np.roll(self.theta, -1)
-                self.theta = self._factor.solve(rhs)
+            th = self.theta[self._dof]
+            np.multiply(self._b_diag, th, out=rhs)
+            np.multiply(self._b_off, th, out=b_th)
+            rhs[1:] += b_th[:-1]
+            rhs[:-1] += b_th[1:]
+            if periodic:
+                rhs[0] += b_th[-1]
+                rhs[-1] += b_th[0]
+            x, _ = zgttrs(*self._lu, rhs, overwrite_b=1)
+            if periodic:
+                x -= np.multiply(self._z, x[0] + self._v_last * x[-1], out=b_th)
+            self.theta[self._dof] = x
             self.tau += self.d_tau
         return self
 
@@ -471,12 +486,11 @@ def _gauss_legendre(n: int):
 _MAX_PANELS = 2_000_000
 
 
-def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12,
-                        tail: float = 25.0):
-    """Phase-adapted composite Gauss-Legendre quadrature of the kernel moments.
+def _kernel_panels(step: KernelStep, eta: float, tail: float = 25.0):
+    """Kernel exponent b, damping cutoff and oscillation panel count at eta.
 
-    Panels follow the quadratic phase (one 2*pi oscillation each) out to
-    the damping cutoff exp(-tail), so the oscillation is always resolved.
+    Raises :class:`QuadratureError` when the panel budget is exceeded, so
+    callers can reject a too-small damping before any quadrature runs.
     """
     hbar, mass = step.constants.hbar, step.constants.mass
     eps_c = step.epsilon * (1.0 - 1j * eta)
@@ -491,6 +505,18 @@ def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12,
             f"damping eta={eta:g} needs {panels} oscillation panels; too small to quadrate",
             diagnostics={"panels": panels, "eta": eta},
         )
+    return b, delta_max, panels
+
+
+def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12,
+                        tail: float = 25.0):
+    """Phase-adapted composite Gauss-Legendre quadrature of the kernel moments.
+
+    Panels follow the quadratic phase (one 2*pi oscillation each) out to
+    the damping cutoff exp(-tail), so the oscillation is always resolved.
+    """
+    b, delta_max, panels = _kernel_panels(step, eta, tail)
+    im_b = abs(b.imag)
     edges = np.sqrt(2.0 * math.pi * np.arange(panels + 1) / im_b)
     edges[-1] = delta_max
     gl_x, gl_w = _gauss_legendre(nodes_per_panel)
@@ -523,6 +549,7 @@ def kernel_moments(step: KernelStep, extrapolate: bool = True,
     raises :class:`QuadratureError` with the diagnostic values.
     """
     eta = step.damping_eta
+    _kernel_panels(step, eta)  # the smallest damping needs the most panels
     check_eta = 8.0 * eta
     check_lo = _raw_kernel_moments(step, check_eta, nodes_per_panel=nodes_per_panel)
     check_hi = _raw_kernel_moments(step, check_eta, nodes_per_panel=nodes_per_panel + 4)

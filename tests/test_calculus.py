@@ -238,6 +238,13 @@ def test_field_alignment_validation():
     other_chart = fc.build_staircase(other, 1.0)
     with pytest.raises(AlignmentError):
         fc.FieldOnCurve(grid, np.zeros(101), other_chart)
+    # charts that do not share the grid's params array get the full knot check
+    n = grid.node_count
+    copied = fc.Staircase(chart.alpha, chart.params.copy(), chart.values, chart.p0)
+    fc.FieldOnCurve(grid, np.zeros(n), copied)
+    shifted = fc.Staircase(chart.alpha, 0.5 * chart.params, chart.values, chart.p0)
+    with pytest.raises(AlignmentError):
+        fc.FieldOnCurve(grid, np.zeros(n), shifted)
 
 
 def test_taylor_order_zero_and_validation():

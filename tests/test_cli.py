@@ -220,6 +220,35 @@ def test_config_error_paths(tmp_path):
     assert run_cli(["unknown-command", nocurve]) == 2
 
 
+@pytest.mark.parametrize("run", [
+    {"d_tau": 1e-3, "steps": "10"},
+    {"d_tau": "abc", "steps": 10},
+    {"d_tau": 1e-3, "steps": True},
+    {"d_tau": float("inf"), "steps": 10},
+])
+def test_evolution_rejects_non_numeric_run_values(tmp_path, capsys, run):
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "curve": {"kind": "line", "segments": 16},
+        "run": {**run, "initial": {"kind": "plane_wave"}},
+        "output": str(tmp_path / "o"),
+    })
+    assert run_cli(["evolve", cfg]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "error.json").exists()
+
+
+def test_two_point_periodic_grid_is_a_numerical_failure(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "curve": {"kind": "line", "segments": 16},
+        "run": {"d_tau": 1e-3, "steps": 5, "boundary": "periodic", "xi_points": 2,
+                "initial": {"kind": "plane_wave"}},
+        "output": str(tmp_path / "o"),
+    })
+    assert run_cli(["evolve", cfg]) == 1
+    diag = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert diag["error"] == "SolverError"
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise EstimationFailureError("no dichotomy", alpha=1.0, slopes=[0.1, -0.2])

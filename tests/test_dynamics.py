@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import fractalcurve as fc
 from fractalcurve.errors import (
@@ -10,6 +11,7 @@ from fractalcurve.errors import (
     ConjugacyError,
     QuadratureError,
     ResolutionError,
+    SolverError,
 )
 
 from conftest import KOCH_DIM, fit_slope
@@ -128,6 +130,78 @@ def test_evolver_validation(koch5):
         fc.CrankNicolsonEvolver(psi, None, d_tau=1e-3, boundary="absorbing")
     with pytest.raises(ValueError):
         fc.evolve(psi, None, 1e-3, steps=-2)
+    # a 2-point periodic grid has no distinct corner couplings, and the
+    # factored solve needs at least 3 unknowns on either boundary
+    with pytest.raises(SolverError):
+        fc.CrankNicolsonEvolver(psi, None, d_tau=1e-3, boundary="periodic", xi_points=2)
+    with pytest.raises(SolverError):
+        fc.CrankNicolsonEvolver(psi, None, d_tau=1e-3, boundary="dirichlet", xi_points=4)
+
+
+def _harmonic_line(n_unknowns, boundary):
+    """Random state and harmonic potential on a line whose xi points are its nodes."""
+    segments = n_unknowns + (1 if boundary == "dirichlet" else 0)
+    grid = fc.build_line((0, 0, 0), (16, 0, 0), segments)
+    chart = fc.build_staircase(grid, 1.0)
+    vfield = fc.FieldOnCurve.from_chart_function(grid, chart, lambda s: 0.5 * (s - 8.0) ** 2)
+    # random amplitudes reach the seam, where the periodic corners act
+    rng = np.random.default_rng(7)
+    vals = rng.normal(size=grid.node_count) + 1j * rng.normal(size=grid.node_count)
+    return fc.WaveFunction(fc.FieldOnCurve(grid, vals, chart)), fc.PotentialOnCurve(vfield)
+
+
+@pytest.mark.parametrize("n", [3, 64])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_crank_nicolson_step_matches_dense_oracle(boundary, n):
+    psi, potential = _harmonic_line(n, boundary)
+    d_tau = 0.05
+    ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=d_tau, boundary=boundary)
+    dof = slice(1, -1) if boundary == "dirichlet" else slice(None)
+    xi = ev.xi[dof]
+    theta0 = ev.theta[dof].copy()
+    assert len(xi) == n
+    off = -CONST.hbar ** 2 / (2.0 * CONST.mass * ev.dxi ** 2)
+    h = np.diag(-2.0 * off + 0.5 * (xi - 8.0) ** 2) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    if boundary == "periodic":
+        h[0, -1] = h[-1, 0] = off
+    lam = d_tau / (2.0 * CONST.hbar)
+    a = np.eye(n) + 1j * lam * h
+    b = np.eye(n) - 1j * lam * h
+    expect = np.linalg.solve(a, b @ theta0)
+    ev.step()
+    assert np.linalg.norm(ev.theta[dof] - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_dirichlet_step_bit_identical_to_banded_solve(koch5):
+    # the factored LAPACK solve runs the same elimination as solve_banded's
+    # (1, 1) path, so Dirichlet outputs are reproducible to the last bit
+    grid, chart = koch5
+    s = chart.values
+    vfield = fc.FieldOnCurve(grid, 50.0 * (s - 0.5 * chart.total) ** 2, chart)
+    cases = [_harmonic_line(64, "dirichlet"),
+             (fc.gaussian_packet(grid, chart, center=0.4 * chart.total,
+                                 sigma=0.05 * chart.total, k0=30.0),
+              fc.PotentialOnCurve(vfield))]
+    for psi, potential in cases:
+        ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-4, boundary="dirichlet")
+        off = -CONST.hbar ** 2 / (2.0 * CONST.mass * ev.dxi ** 2)
+        lam = ev.d_tau / (2.0 * CONST.hbar)
+        diag = (-2.0 * off + ev.v_base)[1:-1]
+        ab = np.zeros((3, len(diag)), dtype=complex)
+        ab[0, 1:] = 1j * lam * off
+        ab[1, :] = 1.0 + 1j * lam * diag
+        ab[2, :-1] = 1j * lam * off
+        b_diag = 1.0 - 1j * lam * diag
+        b_off = -1j * lam * off
+        theta = ev.theta.copy()
+        for _ in range(5):
+            th = theta[1:-1]
+            rhs = b_diag * th
+            rhs[1:] += b_off * th[:-1]
+            rhs[:-1] += b_off * th[1:]
+            theta[1:-1] = solve_banded((1, 1), ab, rhs)
+            ev.step()
+            assert np.array_equal(ev.theta, theta)
 
 
 def test_free_gaussian_variance_growth():
@@ -390,7 +464,8 @@ def test_fit_phase_rate_validation(koch5):
         fc.fit_phase_rate([psi])
 
 
-def test_time_dependent_potential():
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_time_dependent_potential(boundary):
     grid = fc.build_line((0, 0, 0), (16, 0, 0), 255)
     chart = fc.build_staircase(grid, 1.0)
     vfield = fc.FieldOnCurve.from_chart_function(grid, chart,
@@ -398,12 +473,12 @@ def test_time_dependent_potential():
     static = fc.PotentialOnCurve(vfield)
     trivially_dynamic = fc.PotentialOnCurve(vfield, time_dependence=lambda tau: 1.0)
     psi = fc.gaussian_packet(grid, chart, center=8.0, sigma=1.0)
-    out_a = fc.evolve(psi, static, 1e-3, 20)
-    out_b = fc.evolve(psi, trivially_dynamic, 1e-3, 20)
+    out_a = fc.evolve(psi, static, 1e-3, 20, boundary=boundary)
+    out_b = fc.evolve(psi, trivially_dynamic, 1e-3, 20, boundary=boundary)
     np.testing.assert_allclose(out_a.values, out_b.values, atol=1e-13)
 
     ramp = fc.PotentialOnCurve(vfield, time_dependence=lambda tau: 1.0 + 0.5 * tau)
-    ev = fc.CrankNicolsonEvolver(psi, ramp, d_tau=1e-3, boundary="dirichlet")
+    ev = fc.CrankNicolsonEvolver(psi, ramp, d_tau=1e-3, boundary=boundary)
     p0 = fc.total_probability(ev.snapshot())
     ev.step(50)
     out_c = ev.snapshot()
