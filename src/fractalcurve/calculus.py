@@ -31,6 +31,15 @@ __all__ = [
 ]
 
 
+def _same_knots(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two knot arrays name the same nodes, to 1e-12.
+
+    Identity answers at once: ``build_staircase`` shares the grid's params
+    array, and every snapshot of one evolver shares one grid.
+    """
+    return a is b or (len(a) == len(b) and np.allclose(a, b, rtol=0.0, atol=1e-12))
+
+
 @dataclass(eq=False)
 class FieldOnCurve:
     """Scalar samples (real or complex) at the nodes of a curve grid."""
@@ -45,11 +54,7 @@ class FieldOnCurve:
             self.values = self.values.astype(float)
         if self.values.shape != (self.grid.node_count,):
             raise AlignmentError("one value per grid node is required")
-        # build_staircase shares the grid's params array, so identity is alignment
-        if self.chart.params is not self.grid.params and (
-            len(self.chart.params) != self.grid.node_count
-            or not np.allclose(self.chart.params, self.grid.params, rtol=0.0, atol=1e-12)
-        ):
+        if not _same_knots(self.chart.params, self.grid.params):
             raise AlignmentError("chart knots must align with the grid nodes")
 
     @classmethod

@@ -30,7 +30,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .calculus import FieldOnCurve, VectorFieldOnCurve, falpha_integral, gradient, laplacian
+from .calculus import (
+    FieldOnCurve,
+    VectorFieldOnCurve,
+    _same_knots,
+    falpha_integral,
+    gradient,
+    laplacian,
+)
 from .curves import CurveGrid
 from .errors import (
     AlignmentError,
@@ -239,66 +246,59 @@ def _dedup_plateaus(s: np.ndarray, y: np.ndarray):
     return s[keep], y[keep]
 
 
+def _is_node_grid(s: np.ndarray, m: int, periodic: bool) -> bool:
+    """Whether an m-point uniform xi grid over the chart values s is the node grid.
+
+    It is when the chart increments are uniform (within 1e-9 of their mean)
+    and there is one xi point per node, less the seam node on periodic
+    grids; values then move between the two grids by copying.
+    """
+    if m != len(s) - periodic:
+        return False
+    ds = np.diff(s)
+    return bool(np.all(ds > 0) and (ds.max() - ds.min()) <= 1e-9 * ds.mean())
+
+
 def _field_to_conjugate(field: FieldOnCurve, num_points=None, periodic=False) -> ConjugateField:
     s = field.chart.values
-    span = float(s[-1] - s[0])
-    if span <= 0:
+    if s[-1] - s[0] <= 0:
         raise ConjugacyError("the staircase chart is constant; no conjugate chart exists")
-    ds = np.diff(s)
-    uniform = np.all(ds > 0) and (ds.max() - ds.min()) <= 1e-9 * ds.mean()
-    n = len(s)
-    if periodic:
-        m = int(num_points) if num_points else n - 1
-        if m < 2:
-            raise ConjugacyError("need at least 2 xi points")
-        dxi = span / m
-        xi = s[0] + dxi * np.arange(m)
-        if uniform and m == n - 1:
-            theta = field.values[:-1].copy()
-        else:
-            sd, yd = _dedup_plateaus(s, field.values)
-            theta = np.interp(xi, sd, yd)
+    m = int(num_points) if num_points else len(s) - periodic
+    if m < 2:
+        raise ConjugacyError("need at least 2 xi points")
+    # a periodic grid stops one cell short of the seam, its wrap image
+    xi = np.linspace(s[0], s[-1], m + periodic)[:m]
+    if _is_node_grid(s, m, periodic):
+        theta = field.values[:m].copy()
     else:
-        m = int(num_points) if num_points else n
-        if m < 2:
-            raise ConjugacyError("need at least 2 xi points")
-        xi = np.linspace(s[0], s[-1], m)
-        if uniform and m == n:
-            theta = field.values.copy()
-        else:
-            sd, yd = _dedup_plateaus(s, field.values)
-            theta = np.interp(xi, sd, yd)
+        theta = np.interp(xi, *_dedup_plateaus(s, field.values))
     return ConjugateField(xi=xi, values=theta, periodic=periodic)
 
 
 def conjugate_map(psi: WaveFunction, num_points=None, periodic: bool = False) -> ConjugateField:
     """Resample psi onto a uniform grid in xi = S(v).
 
-    When the chart increments are uniform and ``num_points`` matches the
-    node count the map is an exact copy of the node values, so the
-    roundtrip through :func:`conjugate_unmap` is the identity.  Periodic
-    grids drop the seam node: the final curve node is the wrap image of
-    the first.
+    Periodic grids drop the seam node: the final curve node is the wrap
+    image of the first.  When the chart increments are uniform to 1e-9 of
+    their mean and ``num_points`` is the node count less the seam node (the
+    default), the map copies the node values and the round trip through
+    :func:`conjugate_unmap` is exactly the identity (the seam node takes the
+    first node's value); otherwise values are linearly interpolated in xi.
     """
     return _field_to_conjugate(psi.field, num_points=num_points, periodic=periodic)
 
 
 def conjugate_unmap(conj: ConjugateField, like: WaveFunction,
                     tau: float | None = None) -> WaveFunction:
-    """Map a conjugate field back to curve-node values (inverse of the chart map)."""
+    """Map conjugate values back to the curve nodes: a copy on the node grid, else interpolation."""
     s = like.space_chart.values
-    if conj.periodic:
-        if len(conj.xi) == len(s) - 1 and np.allclose(conj.xi, s[:-1], rtol=0.0, atol=1e-12):
-            values = np.concatenate([conj.values, conj.values[:1]])
-        else:
-            xi_ext = np.concatenate([conj.xi, [conj.xi[0] + conj.span]])
-            th_ext = np.concatenate([conj.values, conj.values[:1]])
-            values = np.interp(s, xi_ext, th_ext)
-    else:
-        if len(conj.xi) == len(s) and np.allclose(conj.xi, s, rtol=0.0, atol=1e-12):
-            values = conj.values.copy()
-        else:
-            values = np.interp(s, conj.xi, conj.values)
+    span = s[-1] - s[0]
+    seam = slice(0, int(conj.periodic))  # the first xi point, wrapped to the seam node
+    values = np.concatenate([conj.values, conj.values[seam]])
+    # uniform-to-1e-9 increments leave the nodes within 1e-9 * span of a uniform grid
+    if not (abs(conj.xi[0] - s[0]) <= 1e-9 * span and abs(conj.span - span) <= 1e-9 * span
+            and _is_node_grid(s, len(conj.xi), conj.periodic)):
+        values = np.interp(s, np.concatenate([conj.xi, conj.xi[seam] + conj.span]), values)
     return like.with_values(values, tau=like.tau if tau is None else tau)
 
 
@@ -320,8 +320,8 @@ class CrankNicolsonEvolver:
 
     def __init__(self, psi: WaveFunction, potential: PotentialOnCurve | None = None,
                  d_tau: float = 1e-3, boundary: str = "dirichlet", xi_points=None):
-        if d_tau <= 0:
-            raise ValueError("d_tau must be positive")
+        if not (math.isfinite(d_tau) and d_tau > 0):
+            raise ValueError("d_tau must be finite and positive")
         if boundary not in ("dirichlet", "periodic"):
             raise ValueError("boundary must be 'dirichlet' or 'periodic'")
         self.boundary = boundary
@@ -484,6 +484,7 @@ def _gauss_legendre(n: int):
 
 
 _MAX_PANELS = 2_000_000
+_BLOCK_PANELS = 1 << 14  # panels whose nodes exist at once (about 0.4M nodes)
 
 
 def _kernel_panels(step: KernelStep, eta: float, tail: float = 25.0):
@@ -514,24 +515,29 @@ def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12,
 
     Panels follow the quadratic phase (one 2*pi oscillation each) out to
     the damping cutoff exp(-tail), so the oscillation is always resolved.
+    The sums run over blocks of panels to bound memory; each block holds
+    its panels on both sides of zero, so the odd moment is quadrated, not
+    assumed to vanish.
     """
     b, delta_max, panels = _kernel_panels(step, eta, tail)
-    im_b = abs(b.imag)
-    edges = np.sqrt(2.0 * math.pi * np.arange(panels + 1) / im_b)
+    edges = np.sqrt(2.0 * math.pi * np.arange(panels + 1) / abs(b.imag))
     edges[-1] = delta_max
     gl_x, gl_w = _gauss_legendre(nodes_per_panel)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pos = mid[:, None] + half[:, None] * gl_x[None, :]
-    wts = half[:, None] * gl_w[None, :]
-    nodes = np.concatenate([-pos.ravel()[::-1], pos.ravel()])
-    weights = np.concatenate([wts.ravel()[::-1], wts.ravel()])
-    kern = np.exp(b * nodes ** 2)
+    m0 = m1 = m2 = 0j
+    for lo in range(0, panels, _BLOCK_PANELS):
+        block = edges[lo:lo + _BLOCK_PANELS + 1]
+        half = 0.5 * np.diff(block)
+        mid = 0.5 * (block[:-1] + block[1:])
+        pos = mid[:, None] + half[:, None] * gl_x[None, :]
+        wts = half[:, None] * gl_w[None, :]
+        nodes = np.concatenate([-pos.ravel()[::-1], pos.ravel()])
+        weights = np.concatenate([wts.ravel()[::-1], wts.ravel()])
+        kern = np.exp(b * nodes ** 2)
+        m0 += np.sum(weights * kern)
+        m1 += np.sum(weights * nodes * kern)
+        m2 += np.sum(weights * (0.5 * nodes ** 2) * kern)
     a = step.normalization
-    m0 = complex(np.sum(weights * kern) / a)
-    m1 = complex(np.sum(weights * nodes * kern) / a)
-    m2 = complex(np.sum(weights * (0.5 * nodes ** 2) * kern) / a)
-    return m0, m1, m2
+    return complex(m0 / a), complex(m1 / a), complex(m2 / a)
 
 
 def kernel_moments(step: KernelStep, extrapolate: bool = True,
@@ -638,26 +644,26 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
     return psi.normalized()
 
 
-def _check_snapshot_alignment(psis: list[WaveFunction]):
-    g0 = psis[0].grid
-    for p in psis[1:]:
-        if p.grid.node_count != g0.node_count or not np.allclose(
-            p.grid.params, g0.params, rtol=0.0, atol=1e-12
-        ):
+def _snapshot_spacing(psi_prev: WaveFunction, psi_mid: WaveFunction,
+                      psi_next: WaveFunction) -> float:
+    """Staircase-time step d_tau of three snapshots on one grid, equally spaced in tau."""
+    for other in (psi_mid, psi_next):
+        if not _same_knots(other.grid.params, psi_prev.grid.params):
             raise AlignmentError("snapshots live on different grids")
+    d1 = psi_mid.tau - psi_prev.tau
+    d2 = psi_next.tau - psi_mid.tau
+    if d1 <= 0 or abs(d1 - d2) > 1e-12 * max(d1, d2):
+        raise AlignmentError("snapshots must be equally spaced in staircase time")
+    return d1
 
 
 def schrodinger_residual(psi_prev: WaveFunction, psi_mid: WaveFunction,
                          psi_next: WaveFunction,
                          potential: PotentialOnCurve | None = None) -> FieldOnCurve:
     """Pointwise |i hbar d(psi)/d(tau) - H psi| from three aligned snapshots."""
-    _check_snapshot_alignment([psi_prev, psi_mid, psi_next])
-    d1 = psi_mid.tau - psi_prev.tau
-    d2 = psi_next.tau - psi_mid.tau
-    if d1 <= 0 or abs(d1 - d2) > 1e-12 * max(d1, d2):
-        raise AlignmentError("snapshots must be equally spaced in staircase time")
+    d_tau = _snapshot_spacing(psi_prev, psi_mid, psi_next)
     hbar = psi_mid.constants.hbar
-    dt_psi = (psi_next.values - psi_prev.values) / (d1 + d2)
+    dt_psi = (psi_next.values - psi_prev.values) / (2.0 * d_tau)
     lhs = 1j * hbar * dt_psi
     rhs = hamiltonian_apply(psi_mid, potential).values
     return psi_mid.field.with_values(np.abs(lhs - rhs))

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import FieldOnCurve, falpha_derivative, falpha_integral, laplacian
-from .dynamics import WaveFunction
-from .errors import AlignmentError
+from .dynamics import WaveFunction, _snapshot_spacing
 
 __all__ = [
     "DensityField",
@@ -73,23 +72,10 @@ def probability_current(psi: WaveFunction, form: str = FIRST_DERIVATIVE) -> Curr
     return CurrentField(psi.field.with_values(j), form=form)
 
 
-def _check_triple(a: WaveFunction, b: WaveFunction, c: WaveFunction) -> float:
-    for other in (b, c):
-        if other.grid.node_count != a.grid.node_count or not np.allclose(
-            other.grid.params, a.grid.params, rtol=0.0, atol=1e-12
-        ):
-            raise AlignmentError("snapshots live on different grids")
-    d1 = b.tau - a.tau
-    d2 = c.tau - b.tau
-    if d1 <= 0 or abs(d1 - d2) > 1e-12 * max(d1, d2):
-        raise AlignmentError("snapshots must be equally spaced in staircase time")
-    return d1
-
-
 def continuity_residual(psi_prev: WaveFunction, psi_mid: WaveFunction,
                         psi_next: WaveFunction) -> FieldOnCurve:
     """Pointwise |d(rho)/d(tau) + dJ/dS| from three aligned snapshots."""
-    d_tau = _check_triple(psi_prev, psi_mid, psi_next)
+    d_tau = _snapshot_spacing(psi_prev, psi_mid, psi_next)
     rho_prev = np.abs(psi_prev.values) ** 2
     rho_next = np.abs(psi_next.values) ** 2
     drho = (rho_next - rho_prev) / (2.0 * d_tau)

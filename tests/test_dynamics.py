@@ -71,6 +71,35 @@ def test_conjugate_roundtrip_identity(koch5):
     assert back_per.values[-1] == back_per.values[0]
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_conjugate_roundtrip_exact_at_koch9(periodic):
+    # cumsum-built knots sit ~1e-12 off a linspace grid at 262k nodes;
+    # uniform increments still make both directions a copy
+    grid = fc.build_koch(9)
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=grid.node_count) + 1j * rng.normal(size=grid.node_count)
+    psi = fc.WaveFunction(fc.FieldOnCurve(grid, vals, chart))
+    back = fc.conjugate_unmap(fc.conjugate_map(psi, periodic=periodic), psi)
+    keep = slice(0, grid.node_count - periodic)
+    assert np.array_equal(back.values[keep], psi.values[keep])
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_conjugate_unmap_interpolates_off_the_node_grid(koch5, periodic):
+    # one xi point per node, but shifted or stretched: a copy would misplace the values
+    grid, chart = koch5
+    k = 2.0 * math.pi / chart.total
+    psi = fc.WaveFunction(fc.FieldOnCurve(grid, np.exp(1j * k * chart.values), chart))
+    conj = fc.conjugate_map(psi, periodic=periodic)
+    s0 = conj.xi[0]
+    for xi in (conj.xi + 0.5 * conj.dxi, s0 + 1.01 * (conj.xi - s0)):
+        moved = fc.ConjugateField(xi, np.exp(1j * k * xi), periodic=periodic)
+        back = fc.conjugate_unmap(moved, psi)
+        inside = chart.values >= xi[0]
+        assert np.max(np.abs(back.values - psi.values)[inside]) < 1e-4
+
+
 def test_conjugate_map_constant_and_nonuniform():
     eye = np.eye(3)
     gen = fc.GeneratorSpec((
@@ -124,8 +153,9 @@ def test_evolve_stop_resume_consistency(koch5):
 def test_evolver_validation(koch5):
     grid, chart = koch5
     psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j))
-    with pytest.raises(ValueError):
-        fc.CrankNicolsonEvolver(psi, None, d_tau=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fc.CrankNicolsonEvolver(psi, None, d_tau=bad, boundary="periodic")
     with pytest.raises(ValueError):
         fc.CrankNicolsonEvolver(psi, None, d_tau=1e-3, boundary="absorbing")
     with pytest.raises(ValueError):
@@ -376,6 +406,20 @@ def test_kernel_moments_raw_matches_damped_closed_form():
     assert abs(m2 - expect) < 1e-8 * abs(expect)
 
 
+@pytest.mark.parametrize("eta", [1e-3, 1e-4])
+def test_kernel_moments_raw_match_gaussian_integrals(eta):
+    # independent oracle: int exp(b d^2) = sqrt(pi/-b), int (d^2/2) exp(b d^2) =
+    # sqrt(pi/-b)/(-4b); eta = 1e-4 sums the quadrature over several panel blocks
+    step = fc.KernelStep(epsilon=1e-3, damping_eta=eta)
+    b = 1j * CONST.mass / (2.0 * CONST.hbar * step.epsilon * (1.0 - 1j * eta))
+    m0_expect = cmath.sqrt(math.pi / -b) / step.normalization
+    m2_expect = m0_expect / (-4.0 * b)
+    m0, m1, m2 = fc.kernel_moments(step, extrapolate=False)
+    assert abs(m0 - m0_expect) <= 1e-7 * abs(m0_expect)
+    assert abs(m1) <= 1e-7 * abs(m0_expect)
+    assert abs(m2 - m2_expect) <= 1e-7 * abs(m2_expect)
+
+
 def test_kernel_moments_eta_refinement():
     eps = 1e-3
     errs = []
@@ -430,19 +474,25 @@ def test_schrodinger_residual_stationary_state_tau_independent():
     assert np.max(r1) < 1e-6
 
 
-def test_schrodinger_residual_alignment_errors(koch5):
-    grid, chart = koch5
-    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j))
-    other_grid = fc.build_koch(4)
-    other = fc.WaveFunction(fc.FieldOnCurve.constant(
-        other_grid, fc.build_staircase(other_grid, KOCH_DIM), 1.0 + 0j))
+def _constant_state(grid, tau):
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    return fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j), tau=tau)
+
+
+@pytest.mark.parametrize("residual", [fc.schrodinger_residual, fc.continuity_residual],
+                         ids=["schrodinger", "continuity"])
+def test_residual_alignment_guard(residual):
+    grid = fc.build_koch(5)
+    psi = _constant_state(grid, 0.0)
     with pytest.raises(AlignmentError):
-        fc.schrodinger_residual(psi.with_values(psi.values, tau=0.0), other,
-                                psi.with_values(psi.values, tau=0.2))
+        residual(psi, _constant_state(fc.build_koch(4), 0.1), psi.with_values(psi.values, 0.2))
     with pytest.raises(AlignmentError):
-        fc.schrodinger_residual(psi.with_values(psi.values, tau=0.0),
-                                psi.with_values(psi.values, tau=0.1),
-                                psi.with_values(psi.values, tau=0.3))
+        residual(psi, psi.with_values(psi.values, 0.1), psi.with_values(psi.values, 0.3))
+    # an equal but distinct grid passes the full knot comparison
+    twin = _constant_state(fc.build_koch(5), 0.1)
+    assert twin.grid is not grid
+    out = residual(psi, twin, psi.with_values(psi.values, 0.2))
+    assert out.values.shape == (grid.node_count,)
 
 
 def test_wall_time_from_cantor_chart(koch5):

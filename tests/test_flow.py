@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import fractalcurve as fc
-from fractalcurve.errors import AlignmentError
 
 from conftest import KOCH_DIM, fit_slope, wrapped_gaussian
 
@@ -130,15 +129,6 @@ def test_continuity_residual_convergence_slope():
         errs.append(np.max(fc.continuity_residual(a, b, c).values))
         hs.append(np.max(chart.increments))
     assert fit_slope(hs, errs) >= 1.9
-
-
-def test_continuity_alignment_guard(koch5):
-    grid, chart = koch5
-    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j))
-    with pytest.raises(AlignmentError):
-        fc.continuity_residual(psi.with_values(psi.values, tau=0.0),
-                               psi.with_values(psi.values, tau=0.1),
-                               psi.with_values(psi.values, tau=0.3))
 
 
 def test_total_probability_scaling(koch5):
