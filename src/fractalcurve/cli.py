@@ -10,6 +10,7 @@ byte-identical artifacts.  Exit codes: 0 success, 1 numerical failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -56,11 +57,68 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    if not _is_number(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _get(cfg, key, default=None, required=False):
     if key in cfg:
         return cfg[key]
     _require(not required, f"config is missing required key {key!r}")
     return default
+
+
+def _checked(cfg, key, default, required, ok, what):
+    value = _get(cfg, key, default, required)
+    if value is None and default is None and not required:
+        return None  # an optional key left unset
+    _require(ok(value), f"{key} must be {what}")
+    return value
+
+
+def _number(cfg, key, default=None, required=False, positive=False) -> float | None:
+    """A finite float (optionally > 0); None when an optional key is unset."""
+    value = _checked(cfg, key, default, required,
+                     lambda v: _finite(v) and (v > 0 or not positive),
+                     "a positive finite number" if positive else "a finite number")
+    return None if value is None else float(value)
+
+
+def _int(cfg, key, default=None, required=False, minimum=0) -> int | None:
+    """An integer (not a bool) >= minimum; None when an optional key is unset."""
+    return _checked(cfg, key, default, required,
+                    lambda v: _is_int(v) and v >= minimum, f"an integer >= {minimum}")
+
+
+def _complex(cfg, key, default) -> complex:
+    """A finite complex amplitude: a JSON number or a string such as "1+2j"."""
+    value = _get(cfg, key, default)
+    try:
+        z = complex(value) if isinstance(value, str) or _is_number(value) else None
+    except (ValueError, OverflowError):
+        z = None
+    _require(z is not None and cmath.isfinite(z), f"{key} must be a finite complex number")
+    return z
+
+
+def _point(cfg, key, default) -> list:
+    """A point of R^3: three finite numbers."""
+    return _checked(cfg, key, default, False,
+                    lambda v: isinstance(v, list) and len(v) == 3 and all(map(_finite, v)),
+                    "a list of three finite numbers")
+
+
+def _section(cfg, key, default=None, required=False) -> dict:
+    """A nested JSON object of the config."""
+    value = _get(cfg, key, default, required)
+    _require(isinstance(value, dict), f"{key!r} must be an object")
+    return value
 
 
 def load_config(path) -> dict:
@@ -84,27 +142,25 @@ def _build_curve(curve_cfg, level=None):
     _require(isinstance(curve_cfg, dict), "'curve' must be an object")
     kind = _get(curve_cfg, "kind", required=True)
     if kind == "koch":
-        lvl = level if level is not None else _get(curve_cfg, "level", required=True)
-        _require(isinstance(lvl, int) and lvl >= 0, "koch level must be a non-negative integer")
+        lvl = level if level is not None else _int(curve_cfg, "level", required=True)
         return build_koch(lvl)
     if kind == "cantor_dust":
-        lvl = level if level is not None else _get(curve_cfg, "level", required=True)
-        _require(isinstance(lvl, int) and lvl >= 0, "dust level must be a non-negative integer")
-        return build_cantor_dust(lvl, T=float(_get(curve_cfg, "T", 1.0)))
+        lvl = level if level is not None else _int(curve_cfg, "level", required=True)
+        return build_cantor_dust(lvl, T=_number(curve_cfg, "T", 1.0, positive=True))
     if kind == "line":
-        start = _get(curve_cfg, "start", [0.0, 0.0, 0.0])
-        end = _get(curve_cfg, "end", [1.0, 0.0, 0.0])
+        start = _point(curve_cfg, "start", [0.0, 0.0, 0.0])
+        end = _point(curve_cfg, "end", [1.0, 0.0, 0.0])
         if level is not None:
             return build_line(start, end, 2 ** level, level=level)
-        n = _get(curve_cfg, "segments", required=True)
-        _require(isinstance(n, int) and n >= 1, "line segments must be a positive integer")
-        return build_line(start, end, n, level=int(_get(curve_cfg, "level", 0)))
+        n = _int(curve_cfg, "segments", required=True, minimum=1)
+        return build_line(start, end, n, level=_int(curve_cfg, "level", 0))
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
 def _dimension_grids(curve_cfg, levels):
+    _require(isinstance(levels, list), "dimension levels must be a list")
     _require(len(levels) >= 3, "dimension estimation needs at least 3 levels")
-    _require(all(isinstance(l, int) and l >= 0 for l in levels), "levels must be integers >= 0")
+    _require(all(_is_int(l) and l >= 0 for l in levels), "levels must be integers >= 0")
     _require(list(levels) == sorted(set(levels)), "levels must be strictly increasing")
     return [_build_curve(curve_cfg, level=l) for l in levels]
 
@@ -120,36 +176,30 @@ def _resolve_alpha(cfg, grid):
             levels = [1, 2, 3]
         est = estimate_gamma_dimension(_dimension_grids(curve_cfg, levels), tol=1e-3)
         return est.alpha_star
-    _require(isinstance(requested, (int, float)) and requested > 0,
-             "alpha_space must be positive or 'auto'")
-    return float(requested)
+    return _number(cfg, "alpha_space", 1.0, positive=True)
 
 
 def _physics(cfg) -> PhysicalConstants:
-    phys = _get(cfg, "physics", {})
-    try:
-        return PhysicalConstants(hbar=float(_get(phys, "hbar", 1.0)),
-                                 mass=float(_get(phys, "mass", 1.0)))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    phys = _section(cfg, "physics", {})
+    return PhysicalConstants(hbar=_number(phys, "hbar", 1.0, positive=True),
+                             mass=_number(phys, "mass", 1.0, positive=True))
 
 
 def _time_chart(cfg):
-    ts_cfg = _get(cfg, "time_set", {"kind": "full"})
+    ts_cfg = _section(cfg, "time_set", {"kind": "full"})
     kind = _get(ts_cfg, "kind", "full")
     if kind == "full":
         return None, None
     if kind == "cantor":
-        T = float(_get(ts_cfg, "T", 1.0))
-        level = _get(ts_cfg, "level", required=True)
-        _require(isinstance(level, int) and level >= 0, "time_set level must be an integer >= 0")
-        ts = build_cantor_time(T, level)
+        T = _number(ts_cfg, "T", 1.0, positive=True)
+        ts = build_cantor_time(T, _int(ts_cfg, "level", required=True))
         return ts, ts.time_staircase
     raise ConfigError(f"unknown time_set kind {kind!r}")
 
 
 def _output_dir(cfg, override=None) -> Path:
     out = override if override is not None else _get(cfg, "output", required=True)
+    _require(isinstance(out, str), "output must be a path string")
     path = Path(out)
     if not path.is_absolute():
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -169,39 +219,38 @@ def _manifest(cfg, derived) -> dict:
 
 
 def _make_field(cfg, grid, chart) -> FieldOnCurve:
-    fld = _get(cfg, "field", required=True)
+    fld = _section(cfg, "field", required=True)
     kind = _get(fld, "kind", required=True)
     s_total = chart.values[-1] - chart.values[0]
     if kind == "constant":
-        return FieldOnCurve.constant(grid, chart, float(_get(fld, "value", 1.0)))
+        return FieldOnCurve.constant(grid, chart, _number(fld, "value", 1.0))
     if kind == "staircase":
         return FieldOnCurve.from_chart_function(grid, chart, lambda s: s)
     if kind == "staircase_squared":
         return FieldOnCurve.from_chart_function(grid, chart, lambda s: s ** 2)
     if kind == "sin_staircase":
-        q = float(_get(fld, "k_periods", 1.0))
+        q = _number(fld, "k_periods", 1.0)
         k = 2.0 * math.pi * q / s_total
         return FieldOnCurve.from_chart_function(grid, chart, lambda s: np.sin(k * s))
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
-def _initial_state(run_cfg, grid, chart, time_chart, constants, boundary):
-    init = _get(run_cfg, "initial", required=True)
+def _initial_state(run_cfg, grid, chart, time_chart, constants, boundary, xi_points):
+    init = _section(run_cfg, "initial", required=True)
     kind = _get(init, "kind", required=True)
     s0 = chart.values[0]
     s_total = chart.values[-1] - chart.values[0]
     if kind == "plane_wave":
-        q = float(_get(init, "k_periods", 1.0))
+        q = _number(init, "k_periods", 1.0)
         k = 2.0 * math.pi * q / s_total
         params = PlaneWaveParams.from_wavenumber(
-            k, A=complex(_get(init, "A", 1.0)), B=complex(_get(init, "B", 0.0)),
-            constants=constants)
+            k, A=_complex(init, "A", 1.0), B=_complex(init, "B", 0.0), constants=constants)
         return plane_wave(params, grid, chart, time_chart=time_chart, constants=constants), params
     if kind == "gaussian":
-        center = s0 + float(_get(init, "center_frac", 0.5)) * s_total
-        sigma = float(_get(init, "sigma_frac", 1.0 / 12.0)) * s_total
+        center = s0 + _number(init, "center_frac", 0.5) * s_total
+        sigma = _number(init, "sigma_frac", 1.0 / 12.0) * s_total
         _require(sigma > 0, "gaussian sigma_frac must be positive")
-        k0 = 2.0 * math.pi * float(_get(init, "k0_periods", 0.0)) / s_total
+        k0 = 2.0 * math.pi * _number(init, "k0_periods", 0.0) / s_total
         s = chart.values
         vals = np.zeros(grid.node_count, dtype=complex)
         # wrapped images keep the packet smooth across the seam of periodic runs
@@ -209,6 +258,7 @@ def _initial_state(run_cfg, grid, chart, time_chart, constants, boundary):
         for j in images:
             vals += np.exp(-((s - center + j * s_total) ** 2) / (4.0 * sigma ** 2))
         vals *= np.exp(1j * k0 * s)
+        _require(np.any(vals != 0), "gaussian center_frac puts the packet off the curve")
         psi = WaveFunction(FieldOnCurve(grid, vals, chart),
                            time_chart=time_chart, constants=constants)
         return psi.normalized(), None
@@ -217,23 +267,21 @@ def _initial_state(run_cfg, grid, chart, time_chart, constants, boundary):
         potential = _potential(run_cfg, grid, chart, constants)
         _require(potential is not None, "harmonic_ground requires a potential")
         psi = stationary_ground_state(grid, chart, potential, constants=constants,
-                                      time_chart=time_chart,
-                                      xi_points=_get(run_cfg, "xi_points"))
+                                      time_chart=time_chart, xi_points=xi_points)
         return psi, None
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
 def _potential(run_cfg, grid, chart, constants):
-    pot = _get(run_cfg, "potential", {"kind": "none"})
+    pot = _section(run_cfg, "potential", {"kind": "none"})
     kind = _get(pot, "kind", "none")
     if kind == "none":
         return None
     if kind == "harmonic":
-        omega = float(_get(pot, "omega", 1.0))
-        _require(omega > 0, "harmonic omega must be positive")
+        omega = _number(pot, "omega", 1.0, positive=True)
         s0 = chart.values[0]
         s_total = chart.values[-1] - chart.values[0]
-        center = s0 + float(_get(pot, "center_frac", 0.5)) * s_total
+        center = s0 + _number(pot, "center_frac", 0.5) * s_total
         fld = FieldOnCurve.from_chart_function(
             grid, chart, lambda s: 0.5 * constants.mass * omega ** 2 * (s - center) ** 2)
         return PotentialOnCurve(fld)
@@ -241,10 +289,9 @@ def _potential(run_cfg, grid, chart, constants):
 
 
 def cmd_dimension(cfg, out_dir: Path) -> int:
-    dim_cfg = _get(cfg, "dimension", required=True)
+    dim_cfg = _section(cfg, "dimension", required=True)
     levels = _get(dim_cfg, "levels", required=True)
-    tol = float(_get(dim_cfg, "tol", 1e-3))
-    _require(tol > 0, "dimension tol must be positive")
+    tol = _number(dim_cfg, "tol", 1e-3, positive=True)
     grids = _dimension_grids(_get(cfg, "curve", required=True), levels)
     est = estimate_gamma_dimension(grids, tol=tol)
     report = est.to_report_dict()
@@ -258,9 +305,7 @@ def cmd_staircase(cfg, out_dir: Path) -> int:
     wrote = False
     derived = {}
     if "curve" in cfg:
-        grid = _build_curve(cfg["curve"])
-        alpha = _resolve_alpha(cfg, grid)
-        chart = build_staircase(grid, alpha, p0=_get(cfg, "p0"))
+        grid, alpha, chart = _field_context(cfg)
         io.write_staircase_csv(out_dir / "staircase.csv", chart)
         derived["alpha_space"] = alpha
         derived["staircase_total"] = chart.total
@@ -277,10 +322,13 @@ def cmd_staircase(cfg, out_dir: Path) -> int:
 
 
 def _field_context(cfg):
+    """Curve grid, space exponent and staircase chart of the config."""
     grid = _build_curve(_get(cfg, "curve", required=True))
     alpha = _resolve_alpha(cfg, grid)
-    chart = build_staircase(grid, alpha, p0=_get(cfg, "p0"))
-    return grid, alpha, chart
+    p0 = _number(cfg, "p0")
+    lo, hi = grid.param_domain
+    _require(p0 is None or lo <= p0 <= hi, f"p0 must lie in the parameter domain [{lo}, {hi}]")
+    return grid, alpha, build_staircase(grid, alpha, p0=p0)
 
 
 def cmd_derive(cfg, out_dir: Path) -> int:
@@ -295,15 +343,16 @@ def cmd_derive(cfg, out_dir: Path) -> int:
 def cmd_integrate(cfg, out_dir: Path) -> int:
     grid, alpha, chart = _field_context(cfg)
     f = _make_field(cfg, grid, chart)
-    rng = _get(cfg, "integrate", {})
-    a = _get(rng, "a")
-    b = _get(rng, "b")
+    rng = _section(cfg, "integrate", {})
+    a = _number(rng, "a")
+    b = _number(rng, "b")
     value = falpha_integral(f, a=a, b=b)
     report = {
         "value_re": float(np.real(value)),
         "value_im": float(np.imag(value)),
-        "a": grid.params[0] if a is None else a,
-        "b": grid.params[-1] if b is None else b,
+        # bounds as the config wrote them, so integer bounds stay integers
+        "a": grid.params[0] if a is None else rng["a"],
+        "b": grid.params[-1] if b is None else rng["b"],
     }
     io.write_json(out_dir / "integrate.json", report)
     io.write_json(out_dir / "manifest.json", _manifest(cfg, {"alpha_space": alpha}))
@@ -311,28 +360,22 @@ def cmd_integrate(cfg, out_dir: Path) -> int:
 
 
 def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
-    run_cfg = _get(cfg, "run", required=True)
-    d_tau = _get(run_cfg, "d_tau", required=True)
-    _require(_is_number(d_tau) and math.isfinite(d_tau) and d_tau > 0,
-             "d_tau must be a positive finite number")
-    d_tau = float(d_tau)
-    steps = _get(run_cfg, "steps", required=True)
-    _require(_is_int(steps) and steps >= 1, "steps must be a positive integer")
-    stride = _get(run_cfg, "snapshot_stride", max(1, steps // 10))
-    _require(_is_int(stride) and stride >= 1, "snapshot_stride must be a positive integer")
+    run_cfg = _section(cfg, "run", required=True)
+    d_tau = _number(run_cfg, "d_tau", required=True, positive=True)
+    steps = _int(run_cfg, "steps", required=True, minimum=1)
+    stride = _int(run_cfg, "snapshot_stride", max(1, steps // 10), minimum=1)
     boundary = _get(run_cfg, "boundary", "dirichlet")
     _require(boundary in ("dirichlet", "periodic"), "boundary must be dirichlet or periodic")
+    xi_points = _int(run_cfg, "xi_points", minimum=1)
 
-    grid = _build_curve(_get(cfg, "curve", required=True))
-    alpha = _resolve_alpha(cfg, grid)
-    chart = build_staircase(grid, alpha, p0=_get(cfg, "p0"))
+    grid, alpha, chart = _field_context(cfg)
     constants = _physics(cfg)
     ts, time_chart = _time_chart(cfg)
-    psi0, pw_params = _initial_state(run_cfg, grid, chart, time_chart, constants, boundary)
+    psi0, pw_params = _initial_state(run_cfg, grid, chart, time_chart, constants, boundary,
+                                     xi_points)
     potential = _potential(run_cfg, grid, chart, constants)
 
-    ev = CrankNicolsonEvolver(psi0, potential, d_tau, boundary=boundary,
-                              xi_points=_get(run_cfg, "xi_points"))
+    ev = CrankNicolsonEvolver(psi0, potential, d_tau, boundary=boundary, xi_points=xi_points)
     snapshots = [(0, ev.snapshot())]
     done = 0
     while done < steps:

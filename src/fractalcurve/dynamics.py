@@ -288,18 +288,28 @@ def conjugate_map(psi: WaveFunction, num_points=None, periodic: bool = False) ->
     return _field_to_conjugate(psi.field, num_points=num_points, periodic=periodic)
 
 
+def _xi_on_node_grid(conj: ConjugateField, s: np.ndarray) -> bool:
+    """Whether the xi grid of ``conj`` is the node grid of the chart values s."""
+    span = s[-1] - s[0]
+    # uniform-to-1e-9 increments leave the nodes within 1e-9 * span of a uniform grid
+    return (abs(conj.xi[0] - s[0]) <= 1e-9 * span and abs(conj.span - span) <= 1e-9 * span
+            and _is_node_grid(s, len(conj.xi), conj.periodic))
+
+
+def _unmap(conj: ConjugateField, like: WaveFunction, tau: float | None,
+           on_node_grid: bool) -> WaveFunction:
+    seam = slice(0, int(conj.periodic))  # the first xi point, wrapped to the seam node
+    values = np.concatenate([conj.values, conj.values[seam]])
+    if not on_node_grid:
+        xi = np.concatenate([conj.xi, conj.xi[seam] + conj.span])
+        values = np.interp(like.space_chart.values, xi, values)
+    return like.with_values(values, tau=like.tau if tau is None else tau)
+
+
 def conjugate_unmap(conj: ConjugateField, like: WaveFunction,
                     tau: float | None = None) -> WaveFunction:
     """Map conjugate values back to the curve nodes: a copy on the node grid, else interpolation."""
-    s = like.space_chart.values
-    span = s[-1] - s[0]
-    seam = slice(0, int(conj.periodic))  # the first xi point, wrapped to the seam node
-    values = np.concatenate([conj.values, conj.values[seam]])
-    # uniform-to-1e-9 increments leave the nodes within 1e-9 * span of a uniform grid
-    if not (abs(conj.xi[0] - s[0]) <= 1e-9 * span and abs(conj.span - span) <= 1e-9 * span
-            and _is_node_grid(s, len(conj.xi), conj.periodic)):
-        values = np.interp(s, np.concatenate([conj.xi, conj.xi[seam] + conj.span]), values)
-    return like.with_values(values, tau=like.tau if tau is None else tau)
+    return _unmap(conj, like, tau, _xi_on_node_grid(conj, like.space_chart.values))
 
 
 def _potential_on_xi(potential: PotentialOnCurve | None, chart: Staircase,
@@ -334,6 +344,8 @@ class CrankNicolsonEvolver:
         self.dxi = conj.dxi
         self.theta = conj.values.astype(complex)
         self.tau = float(psi.tau)
+        # the chart and the xi grid are fixed, so every snapshot unmaps alike
+        self._on_node_grid = _xi_on_node_grid(conj, psi.space_chart.values)
         self.v_base = _potential_on_xi(potential, psi.space_chart, self.xi)
         hbar, m = self.constants.hbar, self.constants.mass
         self._off = -hbar ** 2 / (2.0 * m * self.dxi ** 2)
@@ -416,7 +428,9 @@ class CrankNicolsonEvolver:
         return ConjugateField(self.xi, self.theta.copy(), periodic=(self.boundary == "periodic"))
 
     def snapshot(self) -> WaveFunction:
-        return conjugate_unmap(self.conjugate_state(), self.template, tau=self.tau)
+        # unmapping builds new arrays, so theta needs no defensive copy here
+        conj = ConjugateField(self.xi, self.theta, periodic=(self.boundary == "periodic"))
+        return _unmap(conj, self.template, self.tau, self._on_node_grid)
 
 
 def evolve(psi: WaveFunction, potential: PotentialOnCurve | None, d_tau: float,
@@ -515,9 +529,15 @@ def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12,
 
     Panels follow the quadratic phase (one 2*pi oscillation each) out to
     the damping cutoff exp(-tail), so the oscillation is always resolved.
-    The sums run over blocks of panels to bound memory; each block holds
+    The sums run over blocks of panels to bound memory; each block sums
     its panels on both sides of zero, so the odd moment is quadrated, not
-    assumed to vanish.
+    assumed to vanish.  The integrand is even in delta, so the kernel is
+    evaluated on the positive half-line only: the negative-side terms are
+    the positive-side ones reversed (negated for the odd moment).  Each
+    side is summed on its own; numpy's pairwise summation of the mirrored
+    2h-node array splits it into the same two halves when h is a multiple
+    of 4, so with ``nodes_per_panel`` a multiple of 4 (12, and 16 for the
+    refinement check) the moments equal the mirrored-array sums bit for bit.
     """
     b, delta_max, panels = _kernel_panels(step, eta, tail)
     edges = np.sqrt(2.0 * math.pi * np.arange(panels + 1) / abs(b.imag))
@@ -528,14 +548,15 @@ def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12,
         block = edges[lo:lo + _BLOCK_PANELS + 1]
         half = 0.5 * np.diff(block)
         mid = 0.5 * (block[:-1] + block[1:])
-        pos = mid[:, None] + half[:, None] * gl_x[None, :]
-        wts = half[:, None] * gl_w[None, :]
-        nodes = np.concatenate([-pos.ravel()[::-1], pos.ravel()])
-        weights = np.concatenate([wts.ravel()[::-1], wts.ravel()])
-        kern = np.exp(b * nodes ** 2)
-        m0 += np.sum(weights * kern)
-        m1 += np.sum(weights * nodes * kern)
-        m2 += np.sum(weights * (0.5 * nodes ** 2) * kern)
+        pos = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+        wts = (half[:, None] * gl_w[None, :]).ravel()
+        kern = np.exp(b * pos ** 2)
+        t0 = wts * kern
+        t1 = wts * pos * kern
+        t2 = wts * (0.5 * pos ** 2) * kern
+        m0 += np.sum(t0[::-1]) + np.sum(t0)
+        m1 += np.sum(t1) - np.sum(t1[::-1])
+        m2 += np.sum(t2[::-1]) + np.sum(t2)
     a = step.normalization
     return complex(m0 / a), complex(m1 / a), complex(m2 / a)
 

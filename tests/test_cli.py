@@ -237,6 +237,41 @@ def test_evolution_rejects_non_numeric_run_values(tmp_path, capsys, run):
     assert not (tmp_path / "o" / "error.json").exists()
 
 
+_RUN = {"d_tau": 1e-3, "steps": 5, "initial": {"kind": "plane_wave"}}
+
+
+# one malformed value per case, named by its key
+_FAULTS = {
+    "xi_points": {"run": {**_RUN, "xi_points": "x"}},
+    "A": {"run": {**_RUN, "initial": {"kind": "plane_wave", "A": "z"}}},
+    "sigma_frac": {"run": {**_RUN, "initial": {"kind": "gaussian", "sigma_frac": "a"}}},
+    "p0": {"p0": 5.0},
+    "T": {"curve": {"kind": "cantor_dust", "level": 3, "T": -1}},
+    "alpha_space": {"alpha_space": True},
+    "level": {"curve": {"kind": "koch", "level": True}},
+    "run": {"run": [1]},
+    "physics": {"physics": [1]},
+    "start": {"curve": {"kind": "line", "segments": 16, "start": "x"}},
+    "center_frac": {"run": {**_RUN, "initial": {"kind": "gaussian", "center_frac": 1e3}}},
+    "output": {"output": 5},
+}
+
+
+@pytest.mark.parametrize("key", list(_FAULTS))
+def test_evolve_config_faults_exit_2(tmp_path, capsys, key):
+    # each fault is reported against its own key, before any numerical work
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "curve": {"kind": "koch", "level": 3},
+        "run": _RUN,
+        "output": str(tmp_path / "o"),
+        **_FAULTS[key],
+    })
+    assert run_cli(["evolve", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "error.json").exists()
+
+
 def test_two_point_periodic_grid_is_a_numerical_failure(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {
         "curve": {"kind": "line", "segments": 16},

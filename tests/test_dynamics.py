@@ -150,6 +150,26 @@ def test_evolve_stop_resume_consistency(koch5):
     np.testing.assert_allclose(resumed.values, straight.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("xi_points", [None, 300], ids=["node-grid", "off-grid"])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_evolver_snapshot_matches_conjugate_unmap(koch5, boundary, xi_points):
+    # the evolver decides once whether its xi grid is the node grid; each
+    # snapshot must unmap exactly as conjugate_unmap decides per call
+    grid, chart = koch5
+    psi = fc.gaussian_packet(grid, chart, center=0.5 * chart.total,
+                             sigma=0.1 * chart.total, k0=40.0)
+    ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-4, boundary=boundary, xi_points=xi_points)
+    for _ in range(2):
+        snap = ev.snapshot()
+        unmapped = fc.conjugate_unmap(ev.conjugate_state(), psi, tau=ev.tau)
+        assert np.array_equal(snap.values, unmapped.values) and snap.tau == ev.tau
+        ev.step(3)
+    if xi_points is None:
+        ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-4, boundary=boundary)
+        inner = slice(1, -1)  # dirichlet zeroes both ends, periodic wraps the seam
+        assert np.array_equal(ev.snapshot().values[inner], psi.values[inner])
+
+
 def test_evolver_validation(koch5):
     grid, chart = koch5
     psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j))
@@ -418,6 +438,45 @@ def test_kernel_moments_raw_match_gaussian_integrals(eta):
     assert abs(m0 - m0_expect) <= 1e-7 * abs(m0_expect)
     assert abs(m1) <= 1e-7 * abs(m0_expect)
     assert abs(m2 - m2_expect) <= 1e-7 * abs(m2_expect)
+
+
+def _mirrored_kernel_moments(step, eta, nodes_per_panel):
+    # reference only: the block loop that evaluates the even integrand on
+    # mirrored node and weight arrays, both sides of zero at once
+    dyn = fc.dynamics
+    b, delta_max, panels = dyn._kernel_panels(step, eta)
+    edges = np.sqrt(2.0 * math.pi * np.arange(panels + 1) / abs(b.imag))
+    edges[-1] = delta_max
+    gl_x, gl_w = dyn._gauss_legendre(nodes_per_panel)
+    m0 = m1 = m2 = 0j
+    for lo in range(0, panels, dyn._BLOCK_PANELS):
+        block = edges[lo:lo + dyn._BLOCK_PANELS + 1]
+        half = 0.5 * np.diff(block)
+        mid = 0.5 * (block[:-1] + block[1:])
+        pos = mid[:, None] + half[:, None] * gl_x[None, :]
+        wts = half[:, None] * gl_w[None, :]
+        nodes = np.concatenate([-pos.ravel()[::-1], pos.ravel()])
+        weights = np.concatenate([wts.ravel()[::-1], wts.ravel()])
+        kern = np.exp(b * nodes ** 2)
+        m0 += np.sum(weights * kern)
+        m1 += np.sum(weights * nodes * kern)
+        m2 += np.sum(weights * (0.5 * nodes ** 2) * kern)
+    a = step.normalization
+    return complex(m0 / a), complex(m1 / a), complex(m2 / a)
+
+
+@pytest.mark.parametrize("nodes_per_panel", [12, 16])
+@pytest.mark.parametrize("eta", [1e-3, 1e-4])
+def test_kernel_moments_bit_identical_to_mirrored_sum(eta, nodes_per_panel):
+    # the half-line quadrature sums each side as pairwise summation splits the
+    # mirrored array; eta = 1e-4 spans three panel blocks, the last one partial
+    step = fc.KernelStep(epsilon=1e-3, damping_eta=eta)
+    expect = _mirrored_kernel_moments(step, eta, nodes_per_panel)
+    assert fc.dynamics._raw_kernel_moments(step, eta, nodes_per_panel) == expect
+    if eta == 1e-4 and nodes_per_panel == 12:
+        twice = _mirrored_kernel_moments(step, 2.0 * eta, nodes_per_panel)
+        extrapolated = tuple(2.0 * a - b for a, b in zip(expect, twice))
+        assert fc.kernel_moments(step) == extrapolated
 
 
 def test_kernel_moments_eta_refinement():
