@@ -16,20 +16,21 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, io
 from .calculus import FieldOnCurve, falpha_derivative, falpha_integral
-from .curves import build_cantor_dust, build_cantor_time, build_koch, build_line
+from .curves import DEFAULT_LEVEL_CAP, build_cantor_dust, build_cantor_time, build_koch, build_line
 from .dynamics import (
     CrankNicolsonEvolver,
     PhysicalConstants,
     PlaneWaveParams,
     PotentialOnCurve,
-    WaveFunction,
-    fit_phase_rate,
+    _phase_increment,
+    gaussian_packet,
     plane_wave,
     stationary_ground_state,
 )
@@ -38,6 +39,10 @@ from .flow import continuity_residual, total_probability
 from .measure import build_staircase, estimate_gamma_dimension, gamma_premeasure
 
 OUTPUT_ROOT_ENV = "FRACTALCURVE_OUTPUT_ROOT"
+
+# node budget of any grid a config asks for: the finest Koch curve's 4^cap segments
+_MAX_SEGMENTS = 4 ** DEFAULT_LEVEL_CAP
+_MAX_LEVEL = 2 * DEFAULT_LEVEL_CAP  # binary refinement (line, Cantor time set) to that budget
 
 
 class ConfigError(Exception):
@@ -90,10 +95,12 @@ def _number(cfg, key, default=None, required=False, positive=False) -> float | N
     return None if value is None else float(value)
 
 
-def _int(cfg, key, default=None, required=False, minimum=0) -> int | None:
-    """An integer (not a bool) >= minimum; None when an optional key is unset."""
+def _int(cfg, key, default=None, required=False, minimum=0, maximum=math.inf) -> int | None:
+    """An integer (not a bool) in [minimum, maximum]; None when an optional key is unset."""
+    what = (f"an integer >= {minimum}" if maximum == math.inf
+            else f"an integer in [{minimum}, {maximum}]")
     return _checked(cfg, key, default, required,
-                    lambda v: _is_int(v) and v >= minimum, f"an integer >= {minimum}")
+                    lambda v: _is_int(v) and minimum <= v <= maximum, what)
 
 
 def _complex(cfg, key, default) -> complex:
@@ -151,8 +158,10 @@ def _build_curve(curve_cfg, level=None):
         start = _point(curve_cfg, "start", [0.0, 0.0, 0.0])
         end = _point(curve_cfg, "end", [1.0, 0.0, 0.0])
         if level is not None:
+            _require(level <= _MAX_LEVEL,
+                     f"levels of a line must be <= {_MAX_LEVEL} (2^level segments)")
             return build_line(start, end, 2 ** level, level=level)
-        n = _int(curve_cfg, "segments", required=True, minimum=1)
+        n = _int(curve_cfg, "segments", required=True, minimum=1, maximum=_MAX_SEGMENTS)
         return build_line(start, end, n, level=_int(curve_cfg, "level", 0))
     raise ConfigError(f"unknown curve kind {kind!r}")
 
@@ -192,7 +201,7 @@ def _time_chart(cfg):
         return None, None
     if kind == "cantor":
         T = _number(ts_cfg, "T", 1.0, positive=True)
-        ts = build_cantor_time(T, _int(ts_cfg, "level", required=True))
+        ts = build_cantor_time(T, _int(ts_cfg, "level", required=True, maximum=_MAX_LEVEL))
         return ts, ts.time_staircase
     raise ConfigError(f"unknown time_set kind {kind!r}")
 
@@ -235,36 +244,37 @@ def _make_field(cfg, grid, chart) -> FieldOnCurve:
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
-def _initial_state(run_cfg, grid, chart, time_chart, constants, boundary, xi_points):
+def _initial_state(run_cfg, grid, chart, time_chart, constants, boundary, xi_points,
+                   potential):
     init = _section(run_cfg, "initial", required=True)
     kind = _get(init, "kind", required=True)
-    s0 = chart.values[0]
-    s_total = chart.values[-1] - chart.values[0]
+    # Python floats: an overflow gives inf (checked below), not a numpy warning
+    s0 = float(chart.values[0])
+    s_total = float(chart.values[-1] - chart.values[0])
     if kind == "plane_wave":
-        q = _number(init, "k_periods", 1.0)
-        k = 2.0 * math.pi * q / s_total
-        params = PlaneWaveParams.from_wavenumber(
-            k, A=_complex(init, "A", 1.0), B=_complex(init, "B", 0.0), constants=constants)
+        k = 2.0 * math.pi * _number(init, "k_periods", 1.0) / s_total
+        try:
+            params = PlaneWaveParams.from_wavenumber(
+                k, A=_complex(init, "A", 1.0), B=_complex(init, "B", 0.0), constants=constants)
+        except OverflowError:
+            params = None
+        # the phase check divides by beta, so it must be finite and nonzero
+        _require(params is not None and 0.0 < params.beta < math.inf,
+                 "k_periods must give a finite, nonzero phase rate beta = hbar k^2 / (2 m)")
         return plane_wave(params, grid, chart, time_chart=time_chart, constants=constants), params
     if kind == "gaussian":
         center = s0 + _number(init, "center_frac", 0.5) * s_total
-        sigma = _number(init, "sigma_frac", 1.0 / 12.0) * s_total
-        _require(sigma > 0, "gaussian sigma_frac must be positive")
+        sigma = _number(init, "sigma_frac", 1.0 / 12.0, positive=True) * s_total
         k0 = 2.0 * math.pi * _number(init, "k0_periods", 0.0) / s_total
-        s = chart.values
-        vals = np.zeros(grid.node_count, dtype=complex)
-        # wrapped images keep the packet smooth across the seam of periodic runs
-        images = (-1, 0, 1) if boundary == "periodic" else (0,)
-        for j in images:
-            vals += np.exp(-((s - center + j * s_total) ** 2) / (4.0 * sigma ** 2))
-        vals *= np.exp(1j * k0 * s)
-        _require(np.any(vals != 0), "gaussian center_frac puts the packet off the curve")
-        psi = WaveFunction(FieldOnCurve(grid, vals, chart),
-                           time_chart=time_chart, constants=constants)
-        return psi.normalized(), None
+        _require(math.isfinite(k0), "k0_periods must give a finite wavenumber")
+        try:
+            psi = gaussian_packet(grid, chart, center, sigma, k0, time_chart=time_chart,
+                                  constants=constants, periodic=boundary == "periodic")
+        except ValueError as exc:
+            raise ConfigError(f"gaussian center_frac and sigma_frac give no packet: {exc}")
+        return psi, None
     if kind == "harmonic_ground":
         _require(boundary == "dirichlet", "harmonic_ground requires dirichlet boundary")
-        potential = _potential(run_cfg, grid, chart, constants)
         _require(potential is not None, "harmonic_ground requires a potential")
         psi = stationary_ground_state(grid, chart, potential, constants=constants,
                                       time_chart=time_chart, xi_points=xi_points)
@@ -366,38 +376,40 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     stride = _int(run_cfg, "snapshot_stride", max(1, steps // 10), minimum=1)
     boundary = _get(run_cfg, "boundary", "dirichlet")
     _require(boundary in ("dirichlet", "periodic"), "boundary must be dirichlet or periodic")
-    xi_points = _int(run_cfg, "xi_points", minimum=1)
+    xi_points = _int(run_cfg, "xi_points", minimum=1, maximum=_MAX_SEGMENTS + 1)
 
     grid, alpha, chart = _field_context(cfg)
     constants = _physics(cfg)
     ts, time_chart = _time_chart(cfg)
-    psi0, pw_params = _initial_state(run_cfg, grid, chart, time_chart, constants, boundary,
-                                     xi_points)
     potential = _potential(run_cfg, grid, chart, constants)
+    psi0, pw_params = _initial_state(run_cfg, grid, chart, time_chart, constants, boundary,
+                                     xi_points, potential)
+    ground = _get(run_cfg["initial"], "kind") == "harmonic_ground"
 
+    # one pass: each snapshot is written and folded into the checks, then
+    # dropped once it leaves the window that the continuity rows need
     ev = CrankNicolsonEvolver(psi0, potential, d_tau, boundary=boundary, xi_points=xi_points)
-    snapshots = [(0, ev.snapshot())]
-    done = 0
-    while done < steps:
+    window = deque(maxlen=3)  # the last three (step, snapshot) pairs
+    rows, drifts, phase, done = [], [], 0.0, 0
+    while True:
+        psi = ev.snapshot()
+        if write_snapshots:
+            io.write_snapshot_csv(out_dir / f"snapshot_{done:06d}.csv", psi)
+        if pw_params is not None and window:
+            phase += _phase_increment(window[-1][1], psi)
+        if ground:
+            drifts.append(float(np.max(np.abs(np.abs(psi.values) - np.abs(psi0.values)))))
+        window.append((done, psi))
+        if len(window) == 3 and window[1][0] - window[0][0] == done - window[1][0]:
+            (_, pa), (_, pb), _ = window
+            res = continuity_residual(pa, pb, psi).values
+            l2 = math.sqrt(float(falpha_integral(pb.field.with_values(res.astype(float) ** 2))))
+            rows.append((pb.tau, float(np.max(res)), l2, total_probability(pb)))
+        if done == steps:
+            break
         n = min(stride, steps - done)
         ev.step(n)
         done += n
-        snapshots.append((done, ev.snapshot()))
-
-    if write_snapshots:
-        for idx, psi in snapshots:
-            io.write_snapshot_csv(out_dir / f"snapshot_{idx:06d}.csv", psi)
-
-    rows = []
-    for j in range(1, len(snapshots) - 1):
-        ia, pa = snapshots[j - 1]
-        ib, pb = snapshots[j]
-        ic, pc = snapshots[j + 1]
-        if ib - ia != ic - ib:
-            continue
-        res = continuity_residual(pa, pb, pc).values
-        l2 = math.sqrt(float(falpha_integral(pb.field.with_values(res.astype(float) ** 2))))
-        rows.append((pb.tau, float(np.max(res)), l2, total_probability(pb)))
     io.write_continuity_csv(out_dir / "continuity.csv", rows)
 
     derived = {
@@ -406,26 +418,21 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
         "node_count": grid.node_count,
         "xi_points": len(ev.xi),
         "final_tau": ev.tau,
-        "final_total_probability": total_probability(snapshots[-1][1]),
+        "final_total_probability": total_probability(psi),
     }
     if ts is not None:
-        derived["final_wall_time"] = snapshots[-1][1].wall_time()
+        derived["final_wall_time"] = psi.wall_time()
 
     if pw_params is not None:
-        beta_measured = fit_phase_rate([p for _, p in snapshots])
+        beta_measured = -phase / (psi.tau - psi0.tau)
         beta_expected = pw_params.beta
         io.write_json(out_dir / "phase_check.json", {
             "beta_measured": beta_measured,
             "beta_expected": beta_expected,
             "relative_error": abs(beta_measured - beta_expected) / abs(beta_expected),
         })
-    init_kind = _get(_get(run_cfg, "initial", {}), "kind")
-    if init_kind == "harmonic_ground":
-        drift = max(
-            float(np.max(np.abs(np.abs(p.values) - np.abs(psi0.values))))
-            for _, p in snapshots
-        )
-        io.write_json(out_dir / "stationary_report.json", {"max_modulus_drift": drift})
+    if ground:
+        io.write_json(out_dir / "stationary_report.json", {"max_modulus_drift": max(drifts)})
 
     io.write_json(out_dir / "manifest.json", _manifest(cfg, derived))
     return 0
@@ -470,11 +477,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = _output_dir(cfg, override=args.output_dir)
-        return _COMMANDS[args.command](cfg, out_dir)
+        # numpy raises on a float overflow, a division by zero or an invalid
+        # operation, so these end the run as numerical failures (ArithmeticError)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FractalCurveError as exc:
+    except (FractalCurveError, ArithmeticError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         slopes = getattr(exc, "slopes", None)
         if slopes is not None:

@@ -122,8 +122,8 @@ class WaveFunction:
 
     def normalized(self) -> "WaveFunction":
         n2 = self.norm_squared()
-        if n2 <= 0:
-            raise ValueError("cannot normalize a zero state")
+        if not 0 < n2 < math.inf:
+            raise ValueError(f"cannot normalize a state of squared norm {n2}")
         return self.with_values(self.values / math.sqrt(n2))
 
     def wall_time(self) -> float:
@@ -259,22 +259,6 @@ def _is_node_grid(s: np.ndarray, m: int, periodic: bool) -> bool:
     return bool(np.all(ds > 0) and (ds.max() - ds.min()) <= 1e-9 * ds.mean())
 
 
-def _field_to_conjugate(field: FieldOnCurve, num_points=None, periodic=False) -> ConjugateField:
-    s = field.chart.values
-    if s[-1] - s[0] <= 0:
-        raise ConjugacyError("the staircase chart is constant; no conjugate chart exists")
-    m = int(num_points) if num_points else len(s) - periodic
-    if m < 2:
-        raise ConjugacyError("need at least 2 xi points")
-    # a periodic grid stops one cell short of the seam, its wrap image
-    xi = np.linspace(s[0], s[-1], m + periodic)[:m]
-    if _is_node_grid(s, m, periodic):
-        theta = field.values[:m].copy()
-    else:
-        theta = np.interp(xi, *_dedup_plateaus(s, field.values))
-    return ConjugateField(xi=xi, values=theta, periodic=periodic)
-
-
 def conjugate_map(psi: WaveFunction, num_points=None, periodic: bool = False) -> ConjugateField:
     """Resample psi onto a uniform grid in xi = S(v).
 
@@ -285,7 +269,19 @@ def conjugate_map(psi: WaveFunction, num_points=None, periodic: bool = False) ->
     :func:`conjugate_unmap` is exactly the identity (the seam node takes the
     first node's value); otherwise values are linearly interpolated in xi.
     """
-    return _field_to_conjugate(psi.field, num_points=num_points, periodic=periodic)
+    s = psi.space_chart.values
+    if s[-1] - s[0] <= 0:
+        raise ConjugacyError("the staircase chart is constant; no conjugate chart exists")
+    m = int(num_points) if num_points else len(s) - periodic
+    if m < 2:
+        raise ConjugacyError("need at least 2 xi points")
+    # a periodic grid stops one cell short of the seam, its wrap image
+    xi = np.linspace(s[0], s[-1], m + periodic)[:m]
+    if _is_node_grid(s, m, periodic):
+        theta = psi.values[:m].copy()
+    else:
+        theta = np.interp(xi, *_dedup_plateaus(s, psi.values))
+    return ConjugateField(xi=xi, values=theta, periodic=periodic)
 
 
 def _xi_on_node_grid(conj: ConjugateField, s: np.ndarray) -> bool:
@@ -625,19 +621,26 @@ def plane_wave(params: PlaneWaveParams, grid: CurveGrid, space_chart: Staircase,
 def gaussian_packet(grid: CurveGrid, space_chart: Staircase, center: float, sigma: float,
                     k0: float = 0.0, time_chart: Staircase | None = None,
                     constants: PhysicalConstants = PhysicalConstants(),
-                    normalize: bool = True) -> WaveFunction:
-    """Gaussian wave packet exp(-(S-center)^2/(4 sigma^2) + i k0 S).
+                    periodic: bool = False) -> WaveFunction:
+    """Normalized Gaussian wave packet exp(-(S-center)^2/(4 sigma^2)) exp(i k0 S).
 
     ``sigma`` is the standard deviation of the probability density in the
-    staircase coordinate.
+    staircase coordinate.  ``periodic`` adds the envelope's images one chart
+    span to either side, so the packet is smooth across a periodic seam.
+    Raises ``ValueError`` unless 4 sigma^2 is a positive finite float and
+    the packet is nonzero on some node (its center may lie off the curve).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     s = space_chart.values
-    values = np.exp(-((s - center) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * s)
-    psi = WaveFunction(FieldOnCurve(grid, values, space_chart),
-                       time_chart=time_chart, constants=constants)
-    return psi.normalized() if normalize else psi
+    envelope = np.zeros(len(s))
+    with np.errstate(over="ignore"):  # an overflowing exponent gives a zero envelope
+        width = 4.0 * np.float64(sigma) ** 2
+        if not (sigma > 0 and 0.0 < width < math.inf):
+            raise ValueError("sigma must be positive, with 4 sigma^2 a positive finite float")
+        for j in ((-1, 0, 1) if periodic else (0,)):
+            envelope += np.exp(-((s - center + j * (s[-1] - s[0])) ** 2) / width)
+    values = envelope * np.exp(1j * k0 * s)
+    return WaveFunction(FieldOnCurve(grid, values, space_chart), time_chart=time_chart,
+                        constants=constants).normalized()
 
 
 def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
@@ -652,7 +655,7 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
     """
     zero = WaveFunction(FieldOnCurve.constant(grid, space_chart, 0.0 + 0.0j),
                         time_chart=time_chart, constants=constants)
-    conj = _field_to_conjugate(zero.field, num_points=xi_points, periodic=False)
+    conj = conjugate_map(zero, num_points=xi_points)
     v = _potential_on_xi(potential, space_chart, conj.xi)
     hbar, m = constants.hbar, constants.mass
     off = -hbar ** 2 / (2.0 * m * conj.dxi ** 2)
@@ -690,6 +693,11 @@ def schrodinger_residual(psi_prev: WaveFunction, psi_mid: WaveFunction,
     return psi_mid.field.with_values(np.abs(lhs - rhs))
 
 
+def _phase_increment(a: WaveFunction, b: WaveFunction) -> float:
+    """arg <a, b>: the global phase gained from snapshot a to snapshot b."""
+    return cmath.phase(np.sum(b.values * np.conj(a.values)))
+
+
 def fit_phase_rate(snapshots: list[WaveFunction]) -> float:
     """Global phase rate beta from -arg increments of successive snapshots.
 
@@ -699,7 +707,7 @@ def fit_phase_rate(snapshots: list[WaveFunction]) -> float:
         raise ValueError("need at least two snapshots")
     total = 0.0
     for a, b in zip(snapshots, snapshots[1:]):
-        total += cmath.phase(np.sum(b.values * np.conj(a.values)))
+        total += _phase_increment(a, b)
     span = snapshots[-1].tau - snapshots[0].tau
     if span <= 0:
         raise ValueError("snapshots must advance in staircase time")

@@ -15,19 +15,11 @@ def fit_slope(h, err):
     return float(np.polyfit(np.log(np.asarray(h)), np.log(np.asarray(err)), 1)[0])
 
 
-def wrapped_gaussian(grid, chart, sigma_frac=1.0 / 12.0, k_periods=1, center_frac=0.5):
-    """Periodically wrapped, normalized Gaussian packet (smooth at the seam)."""
-    s = chart.values
+def wrapped_gaussian(grid, chart):
+    """Normalized periodic Gaussian packet: mid-chart, sigma S_total/12, one period of k0."""
     total = chart.values[-1] - chart.values[0]
-    center = chart.values[0] + center_frac * total
-    sigma = sigma_frac * total
-    k0 = 2.0 * np.pi * k_periods / total
-    vals = np.zeros(grid.node_count, dtype=complex)
-    for j in (-1, 0, 1):
-        vals += np.exp(-((s - center + j * total) ** 2) / (4.0 * sigma ** 2))
-    vals *= np.exp(1j * k0 * s)
-    psi = fc.WaveFunction(fc.FieldOnCurve(grid, vals, chart))
-    return psi.normalized()
+    return fc.gaussian_packet(grid, chart, center=chart.values[0] + 0.5 * total,
+                              sigma=(1.0 / 12.0) * total, k0=2.0 * np.pi / total, periodic=True)
 
 
 @pytest.fixture(scope="session")

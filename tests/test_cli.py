@@ -1,8 +1,13 @@
 import json
 import math
+import tempfile
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fractalcurve as fc
 from fractalcurve import cli, io
@@ -34,7 +39,7 @@ def test_dimension_koch(tmp_path):
     assert manifest["config_sha256"] == cli.config_sha256(json.loads(cfg.read_text()))
 
 
-def test_dimension_line_and_usage_error(tmp_path):
+def test_dimension_line_and_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "line.json", {
         "curve": {"kind": "line"},
         "dimension": {"levels": [1, 2, 3, 4, 5, 6], "tol": 1e-4},
@@ -50,6 +55,18 @@ def test_dimension_line_and_usage_error(tmp_path):
         "output": str(tmp_path / "o2"),
     })
     assert run_cli(["dimension", short]) == 2
+
+    # 2^200 segments: beyond the node budget of the finest Koch curve (4^10)
+    fine = write_cfg(tmp_path / "fine.json", {
+        "curve": {"kind": "line"},
+        "dimension": {"levels": [1, 2, 200]},
+        "output": str(tmp_path / "o3"),
+    })
+    capsys.readouterr()
+    assert run_cli(["dimension", fine]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "levels" in err
+    assert not (tmp_path / "o3" / "error.json").exists()
 
 
 def test_staircase_space_and_time(tmp_path):
@@ -131,20 +148,57 @@ def test_evolve_artifacts_and_roundtrip(tmp_path):
     assert data["re"][-1] == data["re"][0] and data["im"][-1] == data["im"][0]
 
 
-def test_evolve_harmonic_ground_report(tmp_path):
+@pytest.mark.parametrize("steps,stride", [(50, 25), (55, 10)])
+def test_evolve_harmonic_ground_report(tmp_path, steps, stride):
     cfg = write_cfg(tmp_path / "cfg.json", {
         "curve": {"kind": "line", "segments": 511, "end": [16.0, 0.0, 0.0]},
         "alpha_space": 1.0,
         "run": {
-            "d_tau": 1e-3, "steps": 50, "snapshot_stride": 25, "boundary": "dirichlet",
+            "d_tau": 1e-3, "steps": steps, "snapshot_stride": stride, "boundary": "dirichlet",
             "initial": {"kind": "harmonic_ground"},
             "potential": {"kind": "harmonic", "omega": 1.0},
         },
         "output": str(tmp_path / "out"),
     })
     assert run_cli(["evolve", cfg]) == 0
-    report = json.loads((tmp_path / "out" / "stationary_report.json").read_text())
+    out = tmp_path / "out"
+    report = json.loads((out / "stationary_report.json").read_text())
     assert report["max_modulus_drift"] < 1e-8
+    # a short last stride still yields a snapshot, but no continuity row
+    marks = list(range(0, steps, stride)) + [steps]
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == \
+        [f"snapshot_{i:06d}.csv" for i in marks]
+    cont = io.read_continuity_csv(out / "continuity.csv")
+    np.testing.assert_allclose(cont["tau"], 1e-3 * np.arange(stride, steps - stride + 1, stride),
+                               rtol=1e-12)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["derived"]["final_tau"] == pytest.approx(1e-3 * steps, rel=1e-12)
+
+
+@pytest.mark.parametrize("initial", [{"kind": "plane_wave"}, {"kind": "harmonic_ground"}],
+                         ids=["plane_wave", "harmonic_ground"])
+def test_evolution_holds_a_three_snapshot_window(tmp_path, monkeypatch, initial):
+    # every snapshot leaves memory once it drops out of the window of three
+    live = weakref.WeakSet()
+    counts = []
+    take = fc.CrankNicolsonEvolver.snapshot
+
+    def counted(self):
+        psi = take(self)
+        live.add(psi)
+        counts.append(len(live))
+        return psi
+
+    monkeypatch.setattr(fc.CrankNicolsonEvolver, "snapshot", counted)
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "curve": {"kind": "koch", "level": 3},
+        "alpha_space": KOCH_DIM,
+        "run": {"d_tau": 1e-3, "steps": 100, "snapshot_stride": 10,
+                "initial": initial, "potential": {"kind": "harmonic", "omega": 5.0}},
+        "output": str(tmp_path / "out"),
+    })
+    assert run_cli(["evolve", cfg]) == 0
+    assert len(counts) == 11 and max(counts) <= 4
 
 
 def test_continuity_subcommand_writes_no_snapshots(tmp_path):
@@ -254,6 +308,7 @@ _FAULTS = {
     "start": {"curve": {"kind": "line", "segments": 16, "start": "x"}},
     "center_frac": {"run": {**_RUN, "initial": {"kind": "gaussian", "center_frac": 1e3}}},
     "output": {"output": 5},
+    "k_periods": {"run": {**_RUN, "initial": {"kind": "plane_wave", "k_periods": 1e300}}},
 }
 
 
@@ -320,3 +375,52 @@ def test_curve_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(data["v"], grid.params)
     np.testing.assert_array_equal(
         np.stack([data["x"], data["y"], data["z"]], axis=1), grid.points)
+
+
+# JSON values that a malformed config may hold where a number or a name is expected
+_JUNK = st.one_of(
+    st.sampled_from([1e300, -1e300, 1.7e308, 10 ** 30, -(10 ** 30), 0, 0.0, -1, -0.5,
+                     "nan", "NaN", "inf", "-Infinity", "1e999", "", "x",
+                     True, False, None, [], [1.0], {}, "periodic", "gaussian"]),
+    st.integers(-1000, 1000),
+    st.floats(),
+)
+# (section, key) pairs a fuzzed config may spoil; `steps` and the curve `level`
+# are left alone, since a huge value there asks for a huge but valid run
+_SPOIL = [("run", "d_tau"), ("run", "snapshot_stride"), ("run", "xi_points"),
+          ("run", "boundary"), ("initial", "kind"), ("initial", "k_periods"),
+          ("initial", "A"), ("initial", "center_frac"), ("initial", "sigma_frac"),
+          ("initial", "k0_periods"), ("potential", "omega")]
+
+
+@st.composite
+def _fuzzed_run(draw):
+    run = {
+        "d_tau": draw(st.sampled_from([1e-4, 1e-3, 2e-2])),
+        "steps": draw(st.integers(1, 4)),
+        "snapshot_stride": draw(st.integers(1, 4)),
+        "boundary": draw(st.sampled_from(["dirichlet", "periodic"])),
+        "initial": {"kind": draw(st.sampled_from(["plane_wave", "gaussian",
+                                                  "harmonic_ground"]))},
+        "potential": {"kind": "harmonic", "omega": 3.0},
+    }
+    sections = {"run": run, "initial": run["initial"], "potential": run["potential"]}
+    for section, key in draw(st.lists(st.sampled_from(_SPOIL), min_size=1, max_size=3,
+                                      unique=True)):
+        sections[section][key] = draw(_JUNK)
+    cfg = {"curve": {"kind": "koch", "level": draw(st.integers(1, 3))},
+           "alpha_space": KOCH_DIM, "run": run}
+    return draw(st.sampled_from(["evolve", "continuity"])), cfg
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_fuzzed_run())
+def test_cli_fuzzed_evolution_configs_never_crash(case):
+    # any exception escaping cli.main fails the example, RuntimeWarnings included
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = write_cfg(Path(tmp) / "cfg.json", {**cfg, "output": str(out)})
+        code = run_cli([command, path])
+        assert code in (0, 1, 2)
+        assert (code == 1) == (out / "error.json").exists()

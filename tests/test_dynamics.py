@@ -271,6 +271,45 @@ def test_free_gaussian_variance_growth():
     assert abs(var - expect) / expect < 0.01
 
 
+def _wrapped_image_sum(grid, chart, center, sigma, k0):
+    """Reference only: the periodic packet as the CLI and the tests once built it."""
+    s = chart.values
+    total = chart.values[-1] - chart.values[0]
+    vals = np.zeros(grid.node_count, dtype=complex)
+    for j in (-1, 0, 1):
+        vals += np.exp(-((s - center + j * total) ** 2) / (4.0 * sigma ** 2))
+    vals *= np.exp(1j * k0 * s)
+    return fc.WaveFunction(fc.FieldOnCurve(grid, vals, chart)).normalized()
+
+
+@pytest.mark.parametrize("center_frac,sigma_frac,k_periods",
+                         [(0.5, 1.0 / 12.0, 1), (0.03, 0.2, -3), (0.91, 0.07, 5)],
+                         ids=["middle", "left-seam", "right-seam"])
+def test_periodic_gaussian_packet_equals_wrapped_image_sum(koch5, center_frac, sigma_frac,
+                                                           k_periods):
+    grid, chart = koch5
+    total = chart.values[-1] - chart.values[0]
+    center = chart.values[0] + center_frac * total
+    sigma = sigma_frac * total
+    k0 = 2.0 * math.pi * k_periods / total
+    psi = fc.gaussian_packet(grid, chart, center, sigma, k0, periodic=True)
+    ref = _wrapped_image_sum(grid, chart, center, sigma, k0)
+    np.testing.assert_array_equal(psi.values, ref.values)
+
+
+def test_gaussian_packet_rejects_degenerate_width_and_center(koch5):
+    grid, chart = koch5
+    for sigma in (0.0, -1.0, float("nan"), 1e200, 1e-200):
+        with pytest.raises(ValueError, match="sigma"):
+            fc.gaussian_packet(grid, chart, center=0.5, sigma=sigma)
+    with pytest.raises(ValueError, match="squared norm 0"):
+        fc.gaussian_packet(grid, chart, center=1e300, sigma=0.1, periodic=True)
+    # a NaN state has no finite norm to divide by
+    nan_state = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, complex("nan+nanj")))
+    with pytest.raises(ValueError, match="squared norm nan"):
+        nan_state.normalized()
+
+
 def test_harmonic_ground_state_is_stationary():
     grid = fc.build_line((0, 0, 0), (16, 0, 0), 1023)
     chart = fc.build_staircase(grid, 1.0)
