@@ -253,13 +253,18 @@ def _initial_state(run_cfg, grid, chart, time_chart, constants, boundary, xi_poi
     s_total = float(chart.values[-1] - chart.values[0])
     if kind == "plane_wave":
         k = 2.0 * math.pi * _number(init, "k_periods", 1.0) / s_total
-        try:
-            params = PlaneWaveParams.from_wavenumber(
-                k, A=_complex(init, "A", 1.0), B=_complex(init, "B", 0.0), constants=constants)
+        A, B = _complex(init, "A", 1.0), _complex(init, "B", 0.0)
+        try:  # |psi|^2 peaks at (|A| + |B|)^2, and the run squares psi
+            peak = (abs(A) + abs(B)) ** 2
         except OverflowError:
+            peak = math.inf
+        _require(peak < math.inf, "A and B must keep the peak density (|A| + |B|)^2 finite")
+        try:
+            params = PlaneWaveParams.from_wavenumber(k, A=A, B=B, constants=constants)
+        except ValueError:  # k, and so beta, beyond the float range
             params = None
         # the phase check divides by beta, so it must be finite and nonzero
-        _require(params is not None and 0.0 < params.beta < math.inf,
+        _require(params is not None and params.beta > 0,
                  "k_periods must give a finite, nonzero phase rate beta = hbar k^2 / (2 m)")
         return plane_wave(params, grid, chart, time_chart=time_chart, constants=constants), params
     if kind == "gaussian":

@@ -27,8 +27,10 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import zgttrf, zgttrs
+
+# scipy.linalg is imported where it is used: loading it takes about 0.35 s,
+# which commands that never solve (dimension, staircase, derive,
+# integrate) should not pay
 
 from .calculus import (
     FieldOnCurve,
@@ -156,9 +158,20 @@ class PotentialOnCurve:
         return self.time_dependence is None
 
 
+def _kinetic_energy(k: float, constants: PhysicalConstants) -> float:
+    """(hbar k)^2 / (2 m), or inf where the square leaves the float range."""
+    try:
+        return (constants.hbar * k) ** 2 / (2.0 * constants.mass)
+    except OverflowError:  # a Python float square raises; a numpy one only warns
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PlaneWaveParams:
-    """Amplitudes and dispersion data of the analytic plane-wave solution."""
+    """Amplitudes and dispersion data of the analytic plane-wave solution.
+
+    Construction raises ``ValueError`` unless k, E and beta are finite.
+    """
 
     A: complex
     B: complex
@@ -166,22 +179,29 @@ class PlaneWaveParams:
     beta: float
     E: float
 
+    def __post_init__(self):
+        # NaN fails every comparison, so validate's tolerance checks pass it
+        if not all(map(math.isfinite, (self.k, self.beta, self.E))):
+            raise ValueError("plane-wave k, E and beta must be finite")
+
     @classmethod
     def from_wavenumber(cls, k: float, A=1.0, B=0.0,
                         constants: PhysicalConstants = PhysicalConstants()):
-        E = (constants.hbar * k) ** 2 / (2.0 * constants.mass)
-        return cls(A=complex(A), B=complex(B), k=float(k), beta=E / constants.hbar, E=E)
+        k = float(k)
+        E = _kinetic_energy(k, constants)
+        return cls(A=complex(A), B=complex(B), k=k, beta=E / constants.hbar, E=E)
 
     @classmethod
     def from_energy(cls, E: float, A=1.0, B=0.0,
                     constants: PhysicalConstants = PhysicalConstants()):
+        E = float(E)
         if E < 0:
             raise ValueError("plane-wave energy must be non-negative")
         k = math.sqrt(2.0 * constants.mass * E) / constants.hbar
         return cls(A=complex(A), B=complex(B), k=k, beta=E / constants.hbar, E=E)
 
     def validate(self, constants: PhysicalConstants):
-        E_k = (constants.hbar * self.k) ** 2 / (2.0 * constants.mass)
+        E_k = _kinetic_energy(self.k, constants)
         if abs(E_k - self.E) > 1e-9 * max(1.0, abs(self.E)):
             raise ValueError("k and E violate k = sqrt(2 m E) / hbar")
         if abs(self.beta - self.E / constants.hbar) > 1e-9 * max(1.0, abs(self.beta)):
@@ -369,6 +389,8 @@ class CrankNicolsonEvolver:
         and last diagonal entries (T[0, 0] = 2 A[0, 0] suffers no
         cancellation); z = T^-1 u is solved here once.
         """
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
         periodic = self.boundary == "periodic"
         diag = (-2.0 * self._off + self._v_at(tau))[self._dof]
         n = len(diag)
@@ -398,6 +420,8 @@ class CrankNicolsonEvolver:
 
     def step(self, n: int = 1):
         """Advance n Crank-Nicolson steps of d_tau in staircase time."""
+        from scipy.linalg.lapack import zgttrs
+
         static = self.potential is None or self.potential.is_static
         periodic = self.boundary == "periodic"
         rhs = np.empty_like(self._b_diag)
@@ -653,6 +677,8 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
     Being an exact eigenvector of the Crank-Nicolson operator, its modulus
     is stationary under :func:`evolve` up to linear-solve roundoff.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     zero = WaveFunction(FieldOnCurve.constant(grid, space_chart, 0.0 + 0.0j),
                         time_chart=time_chart, constants=constants)
     conj = conjugate_map(zero, num_points=xi_points)

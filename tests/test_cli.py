@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -111,7 +114,17 @@ def test_derive_and_integrate(tmp_path):
     assert result["value_re"] == pytest.approx(0.5, rel=1e-12)
 
 
-def test_evolve_artifacts_and_roundtrip(tmp_path):
+def test_evolve_artifacts_and_roundtrip(tmp_path, monkeypatch):
+    # the benchmark's tracing wraps the writer as (path, psi): a call with
+    # another shape would fail here before it fails a traced benchmark pass
+    written = []
+    write = io.write_snapshot_csv
+
+    def two_params(path, psi):
+        written.append(Path(path).name)
+        write(path, psi)
+
+    monkeypatch.setattr(io, "write_snapshot_csv", two_params)
     cfg = write_cfg(tmp_path / "cfg.json", {
         "curve": {"kind": "koch", "level": 4},
         "alpha_space": KOCH_DIM,
@@ -126,6 +139,7 @@ def test_evolve_artifacts_and_roundtrip(tmp_path):
     out = tmp_path / "out"
     snaps = sorted(out.glob("snapshot_*.csv"))
     assert [s.name for s in snaps] == [f"snapshot_{i:06d}.csv" for i in (0, 10, 20, 30, 40)]
+    assert written == [s.name for s in snaps]
 
     phase = json.loads((out / "phase_check.json").read_text())
     assert phase["relative_error"] < 1e-3
@@ -309,22 +323,45 @@ _FAULTS = {
     "center_frac": {"run": {**_RUN, "initial": {"kind": "gaussian", "center_frac": 1e3}}},
     "output": {"output": 5},
     "k_periods": {"run": {**_RUN, "initial": {"kind": "plane_wave", "k_periods": 1e300}}},
+    # finite, but its square, the peak density, is not
+    "A-huge": {"run": {**_RUN, "initial": {"kind": "plane_wave", "A": 1e300}}},
 }
 
 
-@pytest.mark.parametrize("key", list(_FAULTS))
-def test_evolve_config_faults_exit_2(tmp_path, capsys, key):
-    # each fault is reported against its own key, before any numerical work
+@pytest.mark.parametrize("case", list(_FAULTS))
+def test_evolve_config_faults_exit_2(tmp_path, capsys, case):
+    # each fault is reported against its own key (the case name up to any
+    # "-"), before any numerical work
+    key = case.split("-")[0]
     cfg = write_cfg(tmp_path / "cfg.json", {
         "curve": {"kind": "koch", "level": 3},
         "run": _RUN,
         "output": str(tmp_path / "o"),
-        **_FAULTS[key],
+        **_FAULTS[case],
     })
     assert run_cli(["evolve", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
     assert not (tmp_path / "o" / "error.json").exists()
+
+
+def test_commands_without_time_stepping_do_not_load_scipy_linalg(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "curve": {"kind": "koch"},
+        "dimension": {"levels": [2, 3, 4]},
+        "output": str(tmp_path / "out"),
+    })
+    script = ("import sys\n"
+              "import fractalcurve.cli as cli\n"
+              f"assert cli.main(['dimension', {str(cfg)!r}]) == 0\n"
+              "print('scipy.linalg' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_two_point_periodic_grid_is_a_numerical_failure(tmp_path):

@@ -35,6 +35,24 @@ def test_plane_wave_params():
     bad = fc.PlaneWaveParams(A=1.0, B=0.0, k=3.0, beta=1.0, E=4.5)
     with pytest.raises(ValueError):
         bad.validate(CONST)
+    huge_k = fc.PlaneWaveParams(A=1.0, B=0.0, k=1e200, beta=1.0, E=1.0)
+    with pytest.raises(ValueError):
+        huge_k.validate(CONST)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fc.PlaneWaveParams.from_wavenumber(1e200),
+    lambda: fc.PlaneWaveParams.from_wavenumber(np.float64(1e200)),
+    lambda: fc.PlaneWaveParams.from_wavenumber(math.inf),
+    lambda: fc.PlaneWaveParams.from_energy(math.nan),
+    lambda: fc.PlaneWaveParams.from_energy(np.float64(1e308)),
+    lambda: fc.PlaneWaveParams(A=1.0, B=0.0, k=math.nan, beta=0.5, E=0.5),
+], ids=["k-float", "k-float64", "k-inf", "E-nan", "E-float64-huge", "k-nan"])
+def test_plane_wave_params_reject_non_finite_values(make):
+    # an overflowing square raises OverflowError on a Python float and only
+    # warns on a numpy one; NaN passes every tolerance comparison
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_plane_wave_modulus_and_zero(koch5):
