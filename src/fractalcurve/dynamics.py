@@ -518,7 +518,7 @@ def _gauss_legendre(n: int):
 
 
 _MAX_PANELS = 2_000_000
-_BLOCK_PANELS = 1 << 14  # panels whose nodes exist at once (about 0.4M nodes)
+_BLOCK_PANELS = 1 << 14  # panels whose nodes exist at once (about 0.2M nodes)
 
 
 def _kernel_panels(step: KernelStep, eta: float, tail: float = 25.0):
@@ -545,40 +545,60 @@ def _kernel_panels(step: KernelStep, eta: float, tail: float = 25.0):
 
 def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12,
                         tail: float = 25.0):
-    """Phase-adapted composite Gauss-Legendre quadrature of the kernel moments.
+    """Phase-exact composite Gauss-Legendre quadrature of the kernel moments.
 
-    Panels follow the quadratic phase (one 2*pi oscillation each) out to
-    the damping cutoff exp(-tail), so the oscillation is always resolved.
-    The sums run over blocks of panels to bound memory; each block sums
-    its panels on both sides of zero, so the odd moment is quadrated, not
-    assumed to vanish.  The integrand is even in delta, so the kernel is
-    evaluated on the positive half-line only: the negative-side terms are
-    the positive-side ones reversed (negated for the odd moment).  Each
-    side is summed on its own; numpy's pairwise summation of the mirrored
-    2h-node array splits it into the same two halves when h is a multiple
-    of 4, so with ``nodes_per_panel`` a multiple of 4 (12, and 16 for the
-    refinement check) the moments equal the mirrored-array sums bit for bit.
+    Both integrands are even in delta, so the moments are twice their
+    half-line integrals, and in u = delta^2 they read
+
+        m0 = int u^(-1/2) e^(b u) du,   m2 = int (sqrt(u) / 2) e^(b u) du.
+
+    The panels of :func:`_kernel_panels` are u_k = k h with
+    h = 2 pi / Im b, one phase period each.  Panel 0, [0, h], is quadrated
+    in delta, where the integrand has no u^(-1/2) singularity.  On panel
+    k >= 1 the node u = h (k + (1 + x_j) / 2) factors the kernel exactly as
+    e^(b u) = e^(Re b k h) q_j with q_j = e^(b h (1 + x_j) / 2), because
+    e^(i Im b k h) = e^(2 pi i k) = 1.  So each node costs one ``sqrt`` and
+    one reciprocal, and each block of ``_BLOCK_PANELS`` panels two real
+    matrix-vector products of the panel amplitudes e^(Re b k h) with
+    r = sqrt(u) and 1 / r; the complex table (h / 2) w_j q_j is contracted
+    once at the end.  The panels end at U = panels * h, where e^(b U) is
+    real, and the rest of each integral is the integration-by-parts tail
+    -e^(b U) [f / b - f' / b^2 + f'' / b^3] (Bender & Orszag, ch. 6).
+    The node set is symmetric about delta = 0, so the odd moment m1 is
+    exactly 0.
     """
-    b, delta_max, panels = _kernel_panels(step, eta, tail)
-    edges = np.sqrt(2.0 * math.pi * np.arange(panels + 1) / abs(b.imag))
-    edges[-1] = delta_max
+    b, _, panels = _kernel_panels(step, eta, tail)
+    h = 2.0 * math.pi / b.imag
     gl_x, gl_w = _gauss_legendre(nodes_per_panel)
-    m0 = m1 = m2 = 0j
-    for lo in range(0, panels, _BLOCK_PANELS):
-        block = edges[lo:lo + _BLOCK_PANELS + 1]
-        half = 0.5 * np.diff(block)
-        mid = 0.5 * (block[:-1] + block[1:])
-        pos = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        wts = (half[:, None] * gl_w[None, :]).ravel()
-        kern = np.exp(b * pos ** 2)
-        t0 = wts * kern
-        t1 = wts * pos * kern
-        t2 = wts * (0.5 * pos ** 2) * kern
-        m0 += np.sum(t0[::-1]) + np.sum(t0)
-        m1 += np.sum(t1) - np.sum(t1[::-1])
-        m2 += np.sum(t2[::-1]) + np.sum(t2)
+    t = 0.5 * (1.0 + gl_x)
+    # panel 0 in delta over [0, sqrt(h)], doubled for the negative side
+    delta = math.sqrt(h) * t
+    head = math.sqrt(h) * gl_w * np.exp(b * delta ** 2)
+    m0 = complex(np.sum(head))
+    m2 = complex(np.sum(0.5 * delta ** 2 * head))
+    # panels 1 .. panels-1 in u
+    inv_sum = np.zeros(nodes_per_panel)
+    root_sum = np.zeros(nodes_per_panel)
+    for lo in range(1, panels, _BLOCK_PANELS):
+        k = np.arange(lo, min(lo + _BLOCK_PANELS, panels), dtype=float)
+        amp = np.exp(b.real * h * k)
+        r = np.add.outer(k, t)
+        r *= h
+        np.sqrt(r, out=r)
+        root_sum += amp @ r
+        np.reciprocal(r, out=r)
+        inv_sum += amp @ r
+    table = 0.5 * h * gl_w * np.exp(b * h * t)
+    m0 += complex(table @ inv_sum)
+    m2 += complex(0.5 * (table @ root_sum))
+    # integration-by-parts tail beyond U = panels h, where e^(b U) = e^(Re b U):
+    # -e^(b U) (f, f', f'') . (1/b, -1/b^2, 1/b^3) for f = u^(-1/2) and sqrt(u)/2
+    u = panels * h
+    ibp = -math.exp(b.real * u) * np.array([1.0 / b, -1.0 / b ** 2, 1.0 / b ** 3])
+    m0 += complex(ibp @ [u ** -0.5, -0.5 * u ** -1.5, 0.75 * u ** -2.5])
+    m2 += complex(ibp @ [0.5 * u ** 0.5, 0.25 * u ** -0.5, -0.125 * u ** -1.5])
     a = step.normalization
-    return complex(m0 / a), complex(m1 / a), complex(m2 / a)
+    return m0 / a, 0j, m2 / a
 
 
 def kernel_moments(step: KernelStep, extrapolate: bool = True,

@@ -67,12 +67,22 @@ def _write_table(path, header: str, columns) -> None:
 
 
 def _read_table(path, expected_header: str) -> dict:
+    """One float array per header column; a header-only file gives empty ones."""
+    names = expected_header.split(",")
     with open(path, "r") as fh:
         header = fh.readline().strip()
         if header != expected_header:
             raise ValueError(f"unexpected header {header!r} in {path}")
+        start = fh.tell()
+        line = fh.readline()
+        while line and not line.strip():
+            line = fh.readline()
+        if not line:  # loadtxt would warn and return shape (0, 1)
+            return {name: np.empty(0) for name in names}
+        fh.seek(start)
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    names = expected_header.split(",")
+    if data.shape[1] != len(names):
+        raise ValueError(f"{data.shape[1]} columns under header {expected_header!r} in {path}")
     return {name: data[:, i] for i, name in enumerate(names)}
 
 

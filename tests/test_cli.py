@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -232,6 +233,22 @@ def test_continuity_subcommand_writes_no_snapshots(tmp_path):
     assert len(cont["tau"]) == 2
     drift = np.abs(cont["total_probability"] - cont["total_probability"][0])
     assert np.max(drift) < 1e-10
+
+
+def test_one_step_evolve_continuity_csv_reads_empty(tmp_path):
+    # fewer than three equally spaced snapshots leave continuity.csv header-only
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "curve": {"kind": "koch", "level": 3},
+        "run": {"d_tau": 1e-3, "steps": 1, "boundary": "periodic",
+                "initial": {"kind": "plane_wave"}},
+        "output": str(tmp_path / "out"),
+    })
+    assert run_cli(["evolve", cfg]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cont = io.read_continuity_csv(tmp_path / "out" / "continuity.csv")
+    assert set(cont) == {"tau", "residual_max", "residual_l2", "total_probability"}
+    assert all(col.shape == (0,) for col in cont.values())
 
 
 def test_determinism_byte_identical(tmp_path):

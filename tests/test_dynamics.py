@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -483,57 +484,54 @@ def test_kernel_moments_raw_matches_damped_closed_form():
     assert abs(m2 - expect) < 1e-8 * abs(expect)
 
 
-@pytest.mark.parametrize("eta", [1e-3, 1e-4])
+@pytest.mark.parametrize("eta", [1e-3, 1e-4, 1e-5])
 def test_kernel_moments_raw_match_gaussian_integrals(eta):
     # independent oracle: int exp(b d^2) = sqrt(pi/-b), int (d^2/2) exp(b d^2) =
-    # sqrt(pi/-b)/(-4b); eta = 1e-4 sums the quadrature over several panel blocks
+    # sqrt(pi/-b)/(-4b); eta = 1e-4 and 1e-5 sum the quadrature over several
+    # panel blocks, and the m2 bound of 2e-9 fails without the tail term
+    m2_rtol = 1e-7 if eta == 1e-5 else 2e-9
     step = fc.KernelStep(epsilon=1e-3, damping_eta=eta)
     b = 1j * CONST.mass / (2.0 * CONST.hbar * step.epsilon * (1.0 - 1j * eta))
     m0_expect = cmath.sqrt(math.pi / -b) / step.normalization
     m2_expect = m0_expect / (-4.0 * b)
     m0, m1, m2 = fc.kernel_moments(step, extrapolate=False)
     assert abs(m0 - m0_expect) <= 1e-7 * abs(m0_expect)
-    assert abs(m1) <= 1e-7 * abs(m0_expect)
-    assert abs(m2 - m2_expect) <= 1e-7 * abs(m2_expect)
+    assert m1 == 0
+    assert abs(m2 - m2_expect) <= m2_rtol * abs(m2_expect)
 
 
-def _mirrored_kernel_moments(step, eta, nodes_per_panel):
-    # reference only: the block loop that evaluates the even integrand on
-    # mirrored node and weight arrays, both sides of zero at once
-    dyn = fc.dynamics
-    b, delta_max, panels = dyn._kernel_panels(step, eta)
-    edges = np.sqrt(2.0 * math.pi * np.arange(panels + 1) / abs(b.imag))
-    edges[-1] = delta_max
-    gl_x, gl_w = dyn._gauss_legendre(nodes_per_panel)
-    m0 = m1 = m2 = 0j
-    for lo in range(0, panels, dyn._BLOCK_PANELS):
-        block = edges[lo:lo + dyn._BLOCK_PANELS + 1]
-        half = 0.5 * np.diff(block)
-        mid = 0.5 * (block[:-1] + block[1:])
-        pos = mid[:, None] + half[:, None] * gl_x[None, :]
-        wts = half[:, None] * gl_w[None, :]
-        nodes = np.concatenate([-pos.ravel()[::-1], pos.ravel()])
-        weights = np.concatenate([wts.ravel()[::-1], wts.ravel()])
-        kern = np.exp(b * nodes ** 2)
-        m0 += np.sum(weights * kern)
-        m1 += np.sum(weights * nodes * kern)
-        m2 += np.sum(weights * (0.5 * nodes ** 2) * kern)
-    a = step.normalization
-    return complex(m0 / a), complex(m1 / a), complex(m2 / a)
+def test_kernel_moments_extrapolated_at_smallest_damping():
+    # the linear extrapolation from 2e-5 and 1e-5 leaves a bias of order eta^2
+    step = fc.KernelStep(epsilon=1e-3, damping_eta=1e-5)
+    m0, m1, m2 = fc.kernel_moments(step)
+    m2_expect = 1j * CONST.hbar * step.epsilon / (2.0 * CONST.mass)
+    assert abs(m0 - 1.0) <= 1e-9
+    assert m1 == 0
+    assert abs(m2 - m2_expect) <= 2e-7 * abs(m2)
 
 
-@pytest.mark.parametrize("nodes_per_panel", [12, 16])
-@pytest.mark.parametrize("eta", [1e-3, 1e-4])
-def test_kernel_moments_bit_identical_to_mirrored_sum(eta, nodes_per_panel):
-    # the half-line quadrature sums each side as pairwise summation splits the
-    # mirrored array; eta = 1e-4 spans three panel blocks, the last one partial
-    step = fc.KernelStep(epsilon=1e-3, damping_eta=eta)
-    expect = _mirrored_kernel_moments(step, eta, nodes_per_panel)
-    assert fc.dynamics._raw_kernel_moments(step, eta, nodes_per_panel) == expect
-    if eta == 1e-4 and nodes_per_panel == 12:
-        twice = _mirrored_kernel_moments(step, 2.0 * eta, nodes_per_panel)
-        extrapolated = tuple(2.0 * a - b for a, b in zip(expect, twice))
-        assert fc.kernel_moments(step) == extrapolated
+def test_kernel_moments_refinement_guard():
+    # two nodes per panel cannot resolve one phase period; the check at
+    # 8 eta against nodes_per_panel + 4 must catch it
+    step = fc.KernelStep(epsilon=1e-3, damping_eta=1e-4)
+    with pytest.raises(QuadratureError) as info:
+        fc.kernel_moments(step, nodes_per_panel=2)
+    diag = info.value.diagnostics
+    assert {"coarse", "fine", "drift"} <= set(diag)
+    assert diag["drift"] > 1e-8 * abs(diag["fine"][0])
+
+
+def test_kernel_moments_memory_bounded():
+    # the panel blocks bound the nodes alive at once: building all 4.8M
+    # nodes of eta = 1e-5 at once would take tens of MB
+    step = fc.KernelStep(epsilon=1e-3, damping_eta=1e-5)
+    tracemalloc.start()
+    try:
+        fc.kernel_moments(step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def test_kernel_moments_eta_refinement():

@@ -1,8 +1,10 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,3 +103,21 @@ def test_empty_continuity_csv_is_its_header(tmp_path):
     path = tmp_path / "continuity.csv"
     io.write_continuity_csv(path, [])
     assert path.read_bytes() == b"tau,residual_max,residual_l2,total_probability\n"
+
+
+def test_header_only_csv_reads_as_empty_columns(tmp_path):
+    path = tmp_path / "continuity.csv"
+    io.write_continuity_csv(path, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cont = io.read_continuity_csv(path)
+    assert list(cont) == ["tau", "residual_max", "residual_l2", "total_probability"]
+    for col in cont.values():
+        assert col.dtype == np.float64 and col.shape == (0,)
+
+
+def test_csv_with_wrong_column_count_is_rejected(tmp_path):
+    path = tmp_path / "continuity.csv"
+    path.write_text("tau,residual_max,residual_l2,total_probability\n1,2\n")
+    with pytest.raises(ValueError):
+        io.read_continuity_csv(path)
