@@ -6,13 +6,15 @@ equation into the ordinary 1-D Schrodinger equation
     i hbar d(theta)/d(tau) = -hbar^2/(2m) d^2(theta)/d(xi)^2 + V theta,
 
 which is integrated with a Crank-Nicolson scheme (unitary for Hermitian
-discrete Hamiltonians up to linear-solve roundoff).  The implicit
-tridiagonal operator is factored once with LAPACK ``zgttrf`` and each
-step is one ``zgttrs`` solve; the corner couplings of periodic grids are
-folded into a Sherman-Morrison rank-one correction (the cyclic
-tridiagonal method).  Cantor-like time supports are honored
-implicitly: tau is staircase time, so no evolution is attributed to the
-removed gaps where the time staircase is flat.
+discrete Hamiltonians up to linear-solve roundoff) in Cayley form: with
+A = I + i lam H the explicit operator is B = 2I - A, so a step
+A^-1 B theta = 2 A^-1 theta - theta is one solve and one axpy.  A is
+tridiagonal, factored once with LAPACK ``zgttrf`` and solved with
+``zgttrs``; the corner couplings of periodic grids are folded into a
+Sherman-Morrison rank-one correction (the cyclic tridiagonal method).
+Cantor-like time supports are honored implicitly: tau is staircase
+time, so no evolution is attributed to the removed gaps where the time
+staircase is flat.
 
 The single-step kernel propagator applies the infinitesimal free-particle
 amplitude exp[i m delta^2 / (2 hbar eps)] as a discrete convolution; its
@@ -380,10 +382,10 @@ class CrankNicolsonEvolver:
         return self.v_base * float(self.potential.time_dependence(tau))
 
     def _assemble(self, tau: float):
-        """Factor the implicit operator for the step starting at tau.
+        """Factor A = I + i lam H, the only operator of the Cayley step, at tau.
 
-        A = I + i lam H is tridiagonal on the degrees of freedom, plus the
-        two corner couplings c on periodic grids.  Those are written as
+        A is tridiagonal on the degrees of freedom, plus the two corner
+        couplings c on periodic grids.  Those are written as
         A = T + u v^T with u = (g, 0, ..., 0, c), v = (1, 0, ..., 0, c/g)
         and g = -A[0, 0], so T differs from A's band only in its first
         and last diagonal entries (T[0, 0] = 2 A[0, 0] suffers no
@@ -397,11 +399,8 @@ class CrankNicolsonEvolver:
         if n < 3:
             raise SolverError(
                 f"{self.boundary} Crank-Nicolson needs at least 3 unknowns, got {n}")
-        lam = self._lam
-        c = 1j * lam * self._off
-        a_diag = 1.0 + 1j * lam * diag
-        self._b_diag = 1.0 - 1j * lam * diag
-        self._b_off = -1j * lam * self._off
+        c = 1j * self._lam * self._off
+        a_diag = 1.0 + 1j * self._lam * diag
         if periodic:
             g = -a_diag[0]
             a_diag[0] -= g
@@ -419,28 +418,27 @@ class CrankNicolsonEvolver:
             self._z = z / (1.0 + z[0] + self._v_last * z[-1])
 
     def step(self, n: int = 1):
-        """Advance n Crank-Nicolson steps of d_tau in staircase time."""
+        """Advance n Crank-Nicolson steps of d_tau in staircase time.
+
+        Each step is theta <- 2 A^-1 theta - theta (B = 2I - A, with A and
+        B at the step's starting tau): one ``zgttrs`` solve on a copy of
+        theta, the periodic correction, and one axpy.
+        """
+        if n < 0:
+            raise ValueError("steps must be non-negative")
         from scipy.linalg.lapack import zgttrs
 
         static = self.potential is None or self.potential.is_static
         periodic = self.boundary == "periodic"
-        rhs = np.empty_like(self._b_diag)
-        b_th = np.empty_like(self._b_diag)
         for _ in range(n):
             if not static:
                 self._assemble(self.tau)
             th = self.theta[self._dof]
-            np.multiply(self._b_diag, th, out=rhs)
-            np.multiply(self._b_off, th, out=b_th)
-            rhs[1:] += b_th[:-1]
-            rhs[:-1] += b_th[1:]
+            x, _ = zgttrs(*self._lu, th)
             if periodic:
-                rhs[0] += b_th[-1]
-                rhs[-1] += b_th[0]
-            x, _ = zgttrs(*self._lu, rhs, overwrite_b=1)
-            if periodic:
-                x -= np.multiply(self._z, x[0] + self._v_last * x[-1], out=b_th)
-            self.theta[self._dof] = x
+                x -= self._z * (x[0] + self._v_last * x[-1])
+            x *= 2.0
+            np.subtract(x, th, out=th)
             self.tau += self.d_tau
         return self
 
@@ -456,8 +454,6 @@ class CrankNicolsonEvolver:
 def evolve(psi: WaveFunction, potential: PotentialOnCurve | None, d_tau: float,
            steps: int, boundary: str = "dirichlet", xi_points=None) -> WaveFunction:
     """Crank-Nicolson evolution by ``steps`` increments of staircase time d_tau."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
     ev = CrankNicolsonEvolver(psi, potential, d_tau, boundary=boundary, xi_points=xi_points)
     ev.step(steps)
     return ev.snapshot()
@@ -488,9 +484,7 @@ def kernel_step(psi: WaveFunction, step: KernelStep, xi_points=None) -> WaveFunc
     span = conj.span
     delta = dxi * np.arange(m)
     delta[delta > span / 2.0] -= span
-    hbar, mass = step.constants.hbar, step.constants.mass
-    eps_c = step.epsilon * (1.0 - 1j * step.damping_eta)
-    b = 1j * mass / (2.0 * hbar * eps_c)
+    b = _kernel_exponent(step, step.damping_eta)
     # decay radius of |exp(b delta^2)| down to exp(-25)
     cutoff = math.sqrt(25.0 / -b.real)
     images = int(math.ceil(cutoff / span))
@@ -521,15 +515,19 @@ _MAX_PANELS = 2_000_000
 _BLOCK_PANELS = 1 << 14  # panels whose nodes exist at once (about 0.2M nodes)
 
 
+def _kernel_exponent(step: KernelStep, eta: float) -> complex:
+    """b = i m / (2 hbar eps (1 - i eta)): the kernel is exp(b delta^2)."""
+    eps_c = step.epsilon * (1.0 - 1j * eta)
+    return 1j * step.constants.mass / (2.0 * step.constants.hbar * eps_c)
+
+
 def _kernel_panels(step: KernelStep, eta: float, tail: float = 25.0):
-    """Kernel exponent b, damping cutoff and oscillation panel count at eta.
+    """Kernel exponent b and the count of 2 pi phase panels out to |e^(b u)| = e^-tail.
 
     Raises :class:`QuadratureError` when the panel budget is exceeded, so
     callers can reject a too-small damping before any quadrature runs.
     """
-    hbar, mass = step.constants.hbar, step.constants.mass
-    eps_c = step.epsilon * (1.0 - 1j * eta)
-    b = 1j * mass / (2.0 * hbar * eps_c)
+    b = _kernel_exponent(step, eta)
     re_b, im_b = b.real, abs(b.imag)
     if re_b >= 0:
         raise QuadratureError("damping must make the kernel decay", {"b": b})
@@ -540,7 +538,7 @@ def _kernel_panels(step: KernelStep, eta: float, tail: float = 25.0):
             f"damping eta={eta:g} needs {panels} oscillation panels; too small to quadrate",
             diagnostics={"panels": panels, "eta": eta},
         )
-    return b, delta_max, panels
+    return b, panels
 
 
 def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12,
@@ -567,7 +565,7 @@ def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12,
     The node set is symmetric about delta = 0, so the odd moment m1 is
     exactly 0.
     """
-    b, _, panels = _kernel_panels(step, eta, tail)
+    b, panels = _kernel_panels(step, eta, tail)
     h = 2.0 * math.pi / b.imag
     gl_x, gl_w = _gauss_legendre(nodes_per_panel)
     t = 0.5 * (1.0 + gl_x)

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
 import fractalcurve as fc
 from fractalcurve.errors import (
@@ -199,6 +198,9 @@ def test_evolver_validation(koch5):
         fc.CrankNicolsonEvolver(psi, None, d_tau=1e-3, boundary="absorbing")
     with pytest.raises(ValueError):
         fc.evolve(psi, None, 1e-3, steps=-2)
+    ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-3, boundary="periodic")
+    with pytest.raises(ValueError, match="non-negative"):
+        ev.step(-1)
     # a 2-point periodic grid has no distinct corner couplings, and the
     # factored solve needs at least 3 unknowns on either boundary
     with pytest.raises(SolverError):
@@ -222,55 +224,50 @@ def _harmonic_line(n_unknowns, boundary):
 @pytest.mark.parametrize("n", [3, 64])
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 def test_crank_nicolson_step_matches_dense_oracle(boundary, n):
-    psi, potential = _harmonic_line(n, boundary)
+    # five steps, each against the textbook form A(tau)^-1 B(tau) theta with
+    # the explicit B = I - i lam H built densely from H, under a static and
+    # a time-dependent potential
+    psi, static = _harmonic_line(n, boundary)
     d_tau = 0.05
-    ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=d_tau, boundary=boundary)
     dof = slice(1, -1) if boundary == "dirichlet" else slice(None)
-    xi = ev.xi[dof]
-    theta0 = ev.theta[dof].copy()
-    assert len(xi) == n
-    off = -CONST.hbar ** 2 / (2.0 * CONST.mass * ev.dxi ** 2)
-    h = np.diag(-2.0 * off + 0.5 * (xi - 8.0) ** 2) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
-    if boundary == "periodic":
-        h[0, -1] = h[-1, 0] = off
     lam = d_tau / (2.0 * CONST.hbar)
-    a = np.eye(n) + 1j * lam * h
-    b = np.eye(n) - 1j * lam * h
-    expect = np.linalg.solve(a, b @ theta0)
-    ev.step()
-    assert np.linalg.norm(ev.theta[dof] - expect) <= 1e-12 * np.linalg.norm(expect)
-
-
-def test_dirichlet_step_bit_identical_to_banded_solve(koch5):
-    # the factored LAPACK solve runs the same elimination as solve_banded's
-    # (1, 1) path, so Dirichlet outputs are reproducible to the last bit
-    grid, chart = koch5
-    s = chart.values
-    vfield = fc.FieldOnCurve(grid, 50.0 * (s - 0.5 * chart.total) ** 2, chart)
-    cases = [_harmonic_line(64, "dirichlet"),
-             (fc.gaussian_packet(grid, chart, center=0.4 * chart.total,
-                                 sigma=0.05 * chart.total, k0=30.0),
-              fc.PotentialOnCurve(vfield))]
-    for psi, potential in cases:
-        ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-4, boundary="dirichlet")
+    for modulation in (None, lambda tau: 1.0 + 40.0 * tau):
+        potential = fc.PotentialOnCurve(static.field, time_dependence=modulation)
+        ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=d_tau, boundary=boundary)
+        xi = ev.xi[dof]
+        assert len(xi) == n
         off = -CONST.hbar ** 2 / (2.0 * CONST.mass * ev.dxi ** 2)
-        lam = ev.d_tau / (2.0 * CONST.hbar)
-        diag = (-2.0 * off + ev.v_base)[1:-1]
-        ab = np.zeros((3, len(diag)), dtype=complex)
-        ab[0, 1:] = 1j * lam * off
-        ab[1, :] = 1.0 + 1j * lam * diag
-        ab[2, :-1] = 1j * lam * off
-        b_diag = 1.0 - 1j * lam * diag
-        b_off = -1j * lam * off
-        theta = ev.theta.copy()
+        kinetic = -2.0 * off * np.eye(n) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+        if boundary == "periodic":
+            kinetic[0, -1] = kinetic[-1, 0] = off
         for _ in range(5):
-            th = theta[1:-1]
-            rhs = b_diag * th
-            rhs[1:] += b_off * th[:-1]
-            rhs[:-1] += b_off * th[1:]
-            theta[1:-1] = solve_banded((1, 1), ab, rhs)
+            scale = 1.0 if modulation is None else modulation(ev.tau)
+            h = kinetic + np.diag(scale * 0.5 * (xi - 8.0) ** 2)
+            a = np.eye(n) + 1j * lam * h
+            b = np.eye(n) - 1j * lam * h
+            expect = np.linalg.solve(a, b @ ev.theta[dof])
             ev.step()
-            assert np.array_equal(ev.theta, theta)
+            assert np.linalg.norm(ev.theta[dof] - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("level,steps", [(5, 1000), (7, 1000), (9, 100)])
+def test_probability_drift_within_dispersion_bound(level, steps):
+    # each step's roundoff grows with the dispersion number
+    # r = hbar d_tau / (2 m dxi^2), so N steps may drift by r N eps,
+    # floored at 1e-12 (the form of perfbench's drift_bound)
+    grid = fc.build_koch(level)
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    total = chart.values[-1] - chart.values[0]
+    for boundary in ("dirichlet", "periodic"):
+        psi = fc.gaussian_packet(grid, chart, center=chart.values[0] + 0.5 * total,
+                                 sigma=total / 12.0, k0=6.0 * math.pi / total,
+                                 periodic=(boundary == "periodic"))
+        ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-4, boundary=boundary)
+        r = CONST.hbar * ev.d_tau / (2.0 * CONST.mass * ev.dxi ** 2)
+        p0 = fc.total_probability(ev.snapshot())
+        ev.step(steps)
+        drift = abs(fc.total_probability(ev.snapshot()) - p0)
+        assert drift <= max(1e-12, r * steps * np.finfo(float).eps), (boundary, r, drift)
 
 
 def test_free_gaussian_variance_growth():
