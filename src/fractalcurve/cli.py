@@ -1,10 +1,13 @@
 """Configuration-driven command line front end.
 
 One JSON config file describes an experiment; the subcommand selects
-what to compute.  All numeric output is written through :mod:`.io` at 17
-significant digits with no timestamps, so identical configs produce
-byte-identical artifacts.  Exit codes: 0 success, 1 numerical failure,
-2 config or usage error.
+what to compute.  A command first calls one reader per config section,
+which checks every key of it and returns a builder of what it describes,
+and only then builds: a config error comes before any build (but for the
+keys the chart's span bounds) and before any file is written.  All
+numeric output goes through :mod:`.io` at 17 significant digits with no
+timestamps, so identical configs produce byte-identical artifacts.  Exit
+codes: 0 success, 1 numerical failure, 2 config or usage error.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import os
 import sys
 from collections import deque
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,7 @@ OUTPUT_ROOT_ENV = "FRACTALCURVE_OUTPUT_ROOT"
 # node budget of any grid a config asks for: the finest Koch curve's 4^cap segments
 _MAX_SEGMENTS = 4 ** DEFAULT_LEVEL_CAP
 _MAX_LEVEL = 2 * DEFAULT_LEVEL_CAP  # binary refinement (line, Cantor time set) to that budget
+_LEVEL_CAP = {"koch": DEFAULT_LEVEL_CAP, "cantor_dust": _MAX_LEVEL, "line": _MAX_LEVEL}
 
 
 class ConfigError(Exception):
@@ -145,47 +150,56 @@ def config_sha256(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _build_curve(curve_cfg, level=None):
-    _require(isinstance(curve_cfg, dict), "'curve' must be an object")
-    kind = _get(curve_cfg, "kind", required=True)
-    if kind == "koch":
-        lvl = level if level is not None else _int(curve_cfg, "level", required=True)
-        return build_koch(lvl)
-    if kind == "cantor_dust":
-        lvl = level if level is not None else _int(curve_cfg, "level", required=True)
-        return build_cantor_dust(lvl, T=_number(curve_cfg, "T", 1.0, positive=True))
+def _curve(cfg, own=True):
+    """Kind, level, p0 and builder ``grid_at(level=None)`` of the config's curve;
+    ``grid_at(l)`` builds level l (2^l segments for a line).  ``own=False`` skips
+    the curve's own level, segments and ``p0``: ``dimension`` sets the levels."""
+    curve = _section(cfg, "curve", required=True)
+    kind = _get(curve, "kind", required=True)
+    _require(isinstance(kind, str) and kind in _LEVEL_CAP, f"unknown curve kind {kind!r}")
+    level, p0, T = None, None, 1.0
     if kind == "line":
-        start = _point(curve_cfg, "start", [0.0, 0.0, 0.0])
-        end = _point(curve_cfg, "end", [1.0, 0.0, 0.0])
-        if level is not None:
-            _require(level <= _MAX_LEVEL,
-                     f"levels of a line must be <= {_MAX_LEVEL} (2^level segments)")
-            return build_line(start, end, 2 ** level, level=level)
-        n = _int(curve_cfg, "segments", required=True, minimum=1, maximum=_MAX_SEGMENTS)
-        return build_line(start, end, n, level=_int(curve_cfg, "level", 0))
-    raise ConfigError(f"unknown curve kind {kind!r}")
+        start = _point(curve, "start", [0.0, 0.0, 0.0])
+        end = _point(curve, "end", [1.0, 0.0, 0.0])
+        if own:
+            segments = _int(curve, "segments", required=True, minimum=1, maximum=_MAX_SEGMENTS)
+            level = _int(curve, "level", 0)
+    else:
+        if own:
+            level = _int(curve, "level", required=True, maximum=_LEVEL_CAP[kind])
+        if kind == "cantor_dust":
+            T = _number(curve, "T", 1.0, positive=True)
+    if own:
+        p0 = _number(cfg, "p0")
+        _require(p0 is None or 0.0 <= p0 <= T, f"p0 must lie in the parameter domain [0.0, {T}]")
+
+    def grid_at(lvl=None):
+        if kind == "line":
+            n, lvl = (segments, level) if lvl is None else (2 ** lvl, lvl)
+            return build_line(start, end, n, level=lvl)
+        lvl = level if lvl is None else lvl
+        return build_koch(lvl) if kind == "koch" else build_cantor_dust(lvl, T=T)
+
+    return kind, level, p0, grid_at
 
 
-def _dimension_grids(curve_cfg, levels):
-    _require(isinstance(levels, list), "dimension levels must be a list")
-    _require(len(levels) >= 3, "dimension estimation needs at least 3 levels")
-    _require(all(_is_int(l) and l >= 0 for l in levels), "levels must be integers >= 0")
-    _require(list(levels) == sorted(set(levels)), "levels must be strictly increasing")
-    return [_build_curve(curve_cfg, level=l) for l in levels]
+def _field_context(cfg):
+    """Builder of the curve grid, space exponent and staircase chart of the config."""
+    kind, level, p0, grid_at = _curve(cfg)
+    alpha = _get(cfg, "alpha_space", 1.0)
+    if alpha == "auto":
+        top = min(level, 7) if kind != "line" else 6
+        levels = list(range(max(1, top - 4), top + 1)) if top >= 3 else [1, 2, 3]
+    else:
+        alpha = _number(cfg, "alpha_space", 1.0, positive=True)
 
+    def build():
+        grid = grid_at()
+        exponent = alpha if alpha != "auto" else estimate_gamma_dimension(
+            [grid_at(l) for l in levels], tol=1e-3).alpha_star
+        return grid, exponent, build_staircase(grid, exponent, p0=p0)
 
-def _resolve_alpha(cfg, grid):
-    requested = _get(cfg, "alpha_space", 1.0)
-    if requested == "auto":
-        curve_cfg = cfg["curve"]
-        kind = _get(curve_cfg, "kind", required=True)
-        top = min(grid.level, 7) if kind != "line" else 6
-        levels = list(range(max(1, top - 4), top + 1))
-        if len(levels) < 3:
-            levels = [1, 2, 3]
-        est = estimate_gamma_dimension(_dimension_grids(curve_cfg, levels), tol=1e-3)
-        return est.alpha_star
-    return _number(cfg, "alpha_space", 1.0, positive=True)
+    return build
 
 
 def _physics(cfg) -> PhysicalConstants:
@@ -194,16 +208,16 @@ def _physics(cfg) -> PhysicalConstants:
                              mass=_number(phys, "mass", 1.0, positive=True))
 
 
-def _time_chart(cfg):
+def _time_set(cfg):
+    """Builder of the config's Cantor time set, or None for full time."""
     ts_cfg = _section(cfg, "time_set", {"kind": "full"})
     kind = _get(ts_cfg, "kind", "full")
     if kind == "full":
-        return None, None
-    if kind == "cantor":
-        T = _number(ts_cfg, "T", 1.0, positive=True)
-        ts = build_cantor_time(T, _int(ts_cfg, "level", required=True, maximum=_MAX_LEVEL))
-        return ts, ts.time_staircase
-    raise ConfigError(f"unknown time_set kind {kind!r}")
+        return None
+    _require(kind == "cantor", f"unknown time_set kind {kind!r}")
+    T = _number(ts_cfg, "T", 1.0, positive=True)
+    level = _int(ts_cfg, "level", required=True, maximum=_MAX_LEVEL)
+    return lambda: build_cantor_time(T, level)
 
 
 def _output_dir(cfg, override=None) -> Path:
@@ -227,87 +241,109 @@ def _manifest(cfg, derived) -> dict:
     }
 
 
-def _make_field(cfg, grid, chart) -> FieldOnCurve:
+def _field(cfg):
+    """Builder ``(grid, chart) -> FieldOnCurve`` of the config's field."""
     fld = _section(cfg, "field", required=True)
     kind = _get(fld, "kind", required=True)
-    s_total = chart.values[-1] - chart.values[0]
     if kind == "constant":
-        return FieldOnCurve.constant(grid, chart, _number(fld, "value", 1.0))
-    if kind == "staircase":
-        return FieldOnCurve.from_chart_function(grid, chart, lambda s: s)
-    if kind == "staircase_squared":
-        return FieldOnCurve.from_chart_function(grid, chart, lambda s: s ** 2)
+        value = _number(fld, "value", 1.0)
+        return lambda grid, chart: FieldOnCurve.constant(grid, chart, value)
     if kind == "sin_staircase":
         q = _number(fld, "k_periods", 1.0)
-        k = 2.0 * math.pi * q / s_total
-        return FieldOnCurve.from_chart_function(grid, chart, lambda s: np.sin(k * s))
-    raise ConfigError(f"unknown field kind {kind!r}")
+
+        def sin_field(grid, chart):
+            k = 2.0 * math.pi * q / (chart.values[-1] - chart.values[0])
+            return FieldOnCurve.from_chart_function(grid, chart, lambda s: np.sin(k * s))
+
+        return sin_field
+    _require(kind in ("staircase", "staircase_squared"), f"unknown field kind {kind!r}")
+    shape = (lambda s: s) if kind == "staircase" else (lambda s: s ** 2)
+    return lambda grid, chart: FieldOnCurve.from_chart_function(grid, chart, shape)
 
 
-def _initial_state(run_cfg, grid, chart, time_chart, constants, boundary, xi_points,
-                   potential):
+def _initial_state(run_cfg, constants, boundary, xi_points, has_potential):
+    """Kind and builder ``(grid, chart, time_chart, potential) -> (psi0, plane-wave params
+    or None)``; the builder checks the keys the chart's span bounds (see README)."""
     init = _section(run_cfg, "initial", required=True)
     kind = _get(init, "kind", required=True)
-    # Python floats: an overflow gives inf (checked below), not a numpy warning
-    s0 = float(chart.values[0])
-    s_total = float(chart.values[-1] - chart.values[0])
     if kind == "plane_wave":
-        k = 2.0 * math.pi * _number(init, "k_periods", 1.0) / s_total
+        q = _number(init, "k_periods", 1.0)
         A, B = _complex(init, "A", 1.0), _complex(init, "B", 0.0)
         try:  # |psi|^2 peaks at (|A| + |B|)^2, and the run squares psi
             peak = (abs(A) + abs(B)) ** 2
         except OverflowError:
             peak = math.inf
         _require(peak < math.inf, "A and B must keep the peak density (|A| + |B|)^2 finite")
-        try:
-            params = PlaneWaveParams.from_wavenumber(k, A=A, B=B, constants=constants)
-        except ValueError:  # k, and so beta, beyond the float range
-            params = None
-        # the phase check divides by beta, so it must be finite and nonzero
-        _require(params is not None and params.beta > 0,
-                 "k_periods must give a finite, nonzero phase rate beta = hbar k^2 / (2 m)")
-        return plane_wave(params, grid, chart, time_chart=time_chart, constants=constants), params
-    if kind == "gaussian":
-        center = s0 + _number(init, "center_frac", 0.5) * s_total
-        sigma = _number(init, "sigma_frac", 1.0 / 12.0, positive=True) * s_total
-        k0 = 2.0 * math.pi * _number(init, "k0_periods", 0.0) / s_total
-        _require(math.isfinite(k0), "k0_periods must give a finite wavenumber")
-        try:
-            psi = gaussian_packet(grid, chart, center, sigma, k0, time_chart=time_chart,
-                                  constants=constants, periodic=boundary == "periodic")
-        except ValueError as exc:
-            raise ConfigError(f"gaussian center_frac and sigma_frac give no packet: {exc}")
-        return psi, None
-    if kind == "harmonic_ground":
+
+        # chart.total is a Python float: an overflow gives inf, not a numpy warning
+        def build(grid, chart, time_chart, potential):
+            k = 2.0 * math.pi * q / chart.total
+            try:
+                params = PlaneWaveParams.from_wavenumber(k, A=A, B=B, constants=constants)
+            except ValueError:  # k, and so beta, beyond the float range
+                params = None
+            # the phase check divides by beta, so it must be finite and nonzero
+            _require(params is not None and params.beta > 0,
+                     "k_periods must give a finite, nonzero phase rate beta = hbar k^2 / (2 m)")
+            return plane_wave(params, grid, chart, time_chart=time_chart,
+                              constants=constants), params
+    elif kind == "gaussian":
+        center_frac = _number(init, "center_frac", 0.5)
+        sigma_frac = _number(init, "sigma_frac", 1.0 / 12.0, positive=True)
+        k0_periods = _number(init, "k0_periods", 0.0)
+
+        def build(grid, chart, time_chart, potential):
+            s0, s_total = float(chart.values[0]), chart.total
+            k0 = 2.0 * math.pi * k0_periods / s_total
+            _require(math.isfinite(k0), "k0_periods must give a finite wavenumber")
+            try:
+                psi = gaussian_packet(grid, chart, s0 + center_frac * s_total,
+                                      sigma_frac * s_total, k0, time_chart=time_chart,
+                                      constants=constants, periodic=boundary == "periodic")
+            except ValueError as exc:
+                raise ConfigError(f"gaussian center_frac and sigma_frac give no packet: {exc}")
+            return psi, None
+    else:
+        _require(kind == "harmonic_ground", f"unknown initial state kind {kind!r}")
         _require(boundary == "dirichlet", "harmonic_ground requires dirichlet boundary")
-        _require(potential is not None, "harmonic_ground requires a potential")
-        psi = stationary_ground_state(grid, chart, potential, constants=constants,
-                                      time_chart=time_chart, xi_points=xi_points)
-        return psi, None
-    raise ConfigError(f"unknown initial state kind {kind!r}")
+        _require(has_potential, "harmonic_ground requires a potential")
+
+        def build(grid, chart, time_chart, potential):
+            return stationary_ground_state(grid, chart, potential, constants=constants,
+                                           time_chart=time_chart, xi_points=xi_points), None
+    return kind, build
 
 
-def _potential(run_cfg, grid, chart, constants):
+def _potential(run_cfg, constants):
+    """Builder ``(grid, chart) -> PotentialOnCurve`` of the run's potential, or None."""
     pot = _section(run_cfg, "potential", {"kind": "none"})
     kind = _get(pot, "kind", "none")
     if kind == "none":
         return None
-    if kind == "harmonic":
-        omega = _number(pot, "omega", 1.0, positive=True)
-        s0 = chart.values[0]
-        s_total = chart.values[-1] - chart.values[0]
-        center = s0 + _number(pot, "center_frac", 0.5) * s_total
-        fld = FieldOnCurve.from_chart_function(
-            grid, chart, lambda s: 0.5 * constants.mass * omega ** 2 * (s - center) ** 2)
-        return PotentialOnCurve(fld)
-    raise ConfigError(f"unknown potential kind {kind!r}")
+    _require(kind == "harmonic", f"unknown potential kind {kind!r}")
+    omega = _number(pot, "omega", 1.0, positive=True)
+    center_frac = _number(pot, "center_frac", 0.5)
+
+    def build(grid, chart):
+        center = chart.values[0] + center_frac * (chart.values[-1] - chart.values[0])
+        return PotentialOnCurve(FieldOnCurve.from_chart_function(
+            grid, chart, lambda s: 0.5 * constants.mass * omega ** 2 * (s - center) ** 2))
+
+    return build
 
 
 def cmd_dimension(cfg, out_dir: Path) -> int:
     dim_cfg = _section(cfg, "dimension", required=True)
     levels = _get(dim_cfg, "levels", required=True)
     tol = _number(dim_cfg, "tol", 1e-3, positive=True)
-    grids = _dimension_grids(_get(cfg, "curve", required=True), levels)
+    kind, _, _, grid_at = _curve(cfg, own=False)
+    _require(isinstance(levels, list), "dimension levels must be a list")
+    _require(len(levels) >= 3, "dimension estimation needs at least 3 levels")
+    cap = _LEVEL_CAP[kind]
+    _require(all(_is_int(l) and 0 <= l <= cap for l in levels),
+             f"levels of a {kind} curve must be integers in [0, {cap}]")
+    _require(levels == sorted(set(levels)), "levels must be strictly increasing")
+    grids = [grid_at(l) for l in levels]
     est = estimate_gamma_dimension(grids, tol=tol)
     report = est.to_report_dict()
     report["premeasure_at_alpha"] = [gamma_premeasure(g, est.alpha_star).value for g in grids]
@@ -317,51 +353,39 @@ def cmd_dimension(cfg, out_dir: Path) -> int:
 
 
 def cmd_staircase(cfg, out_dir: Path) -> int:
-    wrote = False
+    field_context = _field_context(cfg) if "curve" in cfg else None
+    time_set = _time_set(cfg)
+    _require(field_context or time_set, "staircase needs a 'curve' or a cantor 'time_set' section")
     derived = {}
-    if "curve" in cfg:
-        grid, alpha, chart = _field_context(cfg)
+    if field_context:
+        grid, alpha, chart = field_context()
         io.write_staircase_csv(out_dir / "staircase.csv", chart)
         derived["alpha_space"] = alpha
         derived["staircase_total"] = chart.total
-        wrote = True
-    ts, time_chart = _time_chart(cfg)
-    if ts is not None:
-        io.write_staircase_csv(out_dir / "time_staircase.csv", time_chart)
+    if time_set:
+        ts = time_set()
+        io.write_staircase_csv(out_dir / "time_staircase.csv", ts.time_staircase)
         io.write_timeset_csv(out_dir / "timeset.csv", ts)
-        derived["time_staircase_total"] = time_chart.total
-        wrote = True
-    _require(wrote, "staircase needs a 'curve' or a cantor 'time_set' section")
+        derived["time_staircase_total"] = ts.time_staircase.total
     io.write_json(out_dir / "manifest.json", _manifest(cfg, derived))
     return 0
 
 
-def _field_context(cfg):
-    """Curve grid, space exponent and staircase chart of the config."""
-    grid = _build_curve(_get(cfg, "curve", required=True))
-    alpha = _resolve_alpha(cfg, grid)
-    p0 = _number(cfg, "p0")
-    lo, hi = grid.param_domain
-    _require(p0 is None or lo <= p0 <= hi, f"p0 must lie in the parameter domain [{lo}, {hi}]")
-    return grid, alpha, build_staircase(grid, alpha, p0=p0)
-
-
 def cmd_derive(cfg, out_dir: Path) -> int:
-    grid, alpha, chart = _field_context(cfg)
-    f = _make_field(cfg, grid, chart)
-    df = falpha_derivative(f)
-    io.write_field_csv(out_dir / "derive.csv", df)
+    field_context, field = _field_context(cfg), _field(cfg)
+    grid, alpha, chart = field_context()
+    io.write_field_csv(out_dir / "derive.csv", falpha_derivative(field(grid, chart)))
     io.write_json(out_dir / "manifest.json", _manifest(cfg, {"alpha_space": alpha}))
     return 0
 
 
 def cmd_integrate(cfg, out_dir: Path) -> int:
-    grid, alpha, chart = _field_context(cfg)
-    f = _make_field(cfg, grid, chart)
+    field_context, field = _field_context(cfg), _field(cfg)
     rng = _section(cfg, "integrate", {})
     a = _number(rng, "a")
     b = _number(rng, "b")
-    value = falpha_integral(f, a=a, b=b)
+    grid, alpha, chart = field_context()
+    value = falpha_integral(field(grid, chart), a=a, b=b)
     report = {
         "value_re": float(np.real(value)),
         "value_im": float(np.imag(value)),
@@ -382,14 +406,18 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     boundary = _get(run_cfg, "boundary", "dirichlet")
     _require(boundary in ("dirichlet", "periodic"), "boundary must be dirichlet or periodic")
     xi_points = _int(run_cfg, "xi_points", minimum=1, maximum=_MAX_SEGMENTS + 1)
-
-    grid, alpha, chart = _field_context(cfg)
+    field_context = _field_context(cfg)
     constants = _physics(cfg)
-    ts, time_chart = _time_chart(cfg)
-    potential = _potential(run_cfg, grid, chart, constants)
-    psi0, pw_params = _initial_state(run_cfg, grid, chart, time_chart, constants, boundary,
-                                     xi_points, potential)
-    ground = _get(run_cfg["initial"], "kind") == "harmonic_ground"
+    time_set = _time_set(cfg)
+    potential_at = _potential(run_cfg, constants)
+    kind, initial_at = _initial_state(run_cfg, constants, boundary, xi_points,
+                                      potential_at is not None)
+
+    grid, alpha, chart = field_context()
+    time_chart = time_set().time_staircase if time_set else None
+    potential = potential_at(grid, chart) if potential_at else None
+    psi0, pw_params = initial_at(grid, chart, time_chart, potential)
+    ground = kind == "harmonic_ground"
 
     # one pass: each snapshot is written and folded into the checks, then
     # dropped once it leaves the window that the continuity rows need
@@ -425,7 +453,7 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
         "final_tau": ev.tau,
         "final_total_probability": total_probability(psi),
     }
-    if ts is not None:
+    if time_chart is not None:
         derived["final_wall_time"] = psi.wall_time()
 
     if pw_params is not None:
@@ -443,21 +471,13 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     return 0
 
 
-def cmd_evolve(cfg, out_dir: Path) -> int:
-    return _run_evolution(cfg, out_dir, write_snapshots=True)
-
-
-def cmd_continuity(cfg, out_dir: Path) -> int:
-    return _run_evolution(cfg, out_dir, write_snapshots=False)
-
-
 _COMMANDS = {
     "dimension": cmd_dimension,
     "staircase": cmd_staircase,
     "derive": cmd_derive,
     "integrate": cmd_integrate,
-    "evolve": cmd_evolve,
-    "continuity": cmd_continuity,
+    "evolve": partial(_run_evolution, write_snapshots=True),
+    "continuity": partial(_run_evolution, write_snapshots=False),
 }
 
 

@@ -180,11 +180,13 @@ class DimensionEstimate:
 
 
 _BELOW, _ABOVE, _AT = "below", "above", "at"
+_ALPHA_BRACKET = (0.05, 3.0)  # first exponents tried; widened until they bracket
+_TIE_TOL = 1e-9  # per-level log differences within this count as flat
 
 
-def _classify(diffs: np.ndarray, alpha: float, tie_tol: float) -> str:
-    pos = diffs > tie_tol
-    neg = diffs < -tie_tol
+def _classify(diffs: np.ndarray, alpha: float) -> str:
+    pos = diffs > _TIE_TOL
+    neg = diffs < -_TIE_TOL
     if not pos.any() and not neg.any():
         return _AT
     if not neg.any():
@@ -199,8 +201,7 @@ def _classify(diffs: np.ndarray, alpha: float, tie_tol: float) -> str:
     )
 
 
-def estimate_gamma_dimension(grids, tol: float, alpha_bracket=(0.05, 3.0),
-                             tie_tol: float = 1e-9) -> DimensionEstimate:
+def estimate_gamma_dimension(grids, tol: float) -> DimensionEstimate:
     """Locate the exponent where the per-level pre-measure flips growth direction.
 
     For each candidate alpha the finest-mesh pre-measure is computed on
@@ -224,9 +225,9 @@ def estimate_gamma_dimension(grids, tol: float, alpha_bracket=(0.05, 3.0),
         return np.array([math.log(gamma_premeasure(g, alpha).value) for g in grids])
 
     def classify(alpha: float) -> str:
-        return _classify(np.diff(logs(alpha)), alpha, tie_tol)
+        return _classify(np.diff(logs(alpha)), alpha)
 
-    lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
+    lo, hi = _ALPHA_BRACKET
     for _ in range(60):
         side = classify(lo)
         if side == _BELOW:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 import tempfile
 import warnings
 import weakref
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,35 @@ def run_cli(args):
 def write_cfg(path, cfg):
     path.write_text(json.dumps(cfg, indent=1))
     return path
+
+
+# what a command builds, as cli calls it; a config error comes before all of them
+_BUILDERS = ("build_koch", "build_line", "build_cantor_dust", "build_cantor_time",
+             "build_staircase", "estimate_gamma_dimension", "CrankNicolsonEvolver")
+# keys whose range the chart's span decides: checked once the chart is built,
+# and still before the evolver
+_CHART_RELATIVE = ("k_periods", "k0_periods", "center_frac")
+
+
+def count_builds(monkeypatch):
+    """The list of cli builders called, by name, from now on."""
+    calls = []
+    for name in _BUILDERS:
+        def counted(*args, _name=name, _build=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def assert_built_nothing(calls, err):
+    """A config error comes before any build, or before the evolver if it names
+    a key that the chart's span bounds."""
+    if any(key in err for key in _CHART_RELATIVE):
+        assert "CrankNicolsonEvolver" not in calls
+    else:
+        assert calls == []
 
 
 def test_dimension_koch(tmp_path):
@@ -293,33 +324,7 @@ def test_config_error_paths(tmp_path):
     })
     assert run_cli(["dimension", badkind]) == 2
 
-    ground_periodic = write_cfg(tmp_path / "gp.json", {
-        "curve": {"kind": "line", "segments": 64},
-        "run": {"d_tau": 1e-3, "steps": 5, "boundary": "periodic",
-                "initial": {"kind": "harmonic_ground"},
-                "potential": {"kind": "harmonic"}},
-        "output": str(tmp_path / "o"),
-    })
-    assert run_cli(["evolve", ground_periodic]) == 2
-
     assert run_cli(["unknown-command", nocurve]) == 2
-
-
-@pytest.mark.parametrize("run", [
-    {"d_tau": 1e-3, "steps": "10"},
-    {"d_tau": "abc", "steps": 10},
-    {"d_tau": 1e-3, "steps": True},
-    {"d_tau": float("inf"), "steps": 10},
-])
-def test_evolution_rejects_non_numeric_run_values(tmp_path, capsys, run):
-    cfg = write_cfg(tmp_path / "cfg.json", {
-        "curve": {"kind": "line", "segments": 16},
-        "run": {**run, "initial": {"kind": "plane_wave"}},
-        "output": str(tmp_path / "o"),
-    })
-    assert run_cli(["evolve", cfg]) == 2
-    assert "config error:" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "error.json").exists()
 
 
 _RUN = {"d_tau": 1e-3, "steps": 5, "initial": {"kind": "plane_wave"}}
@@ -337,29 +342,76 @@ _FAULTS = {
     "run": {"run": [1]},
     "physics": {"physics": [1]},
     "start": {"curve": {"kind": "line", "segments": 16, "start": "x"}},
+    "kind-unhashable": {"curve": {"kind": ["koch"], "level": 3}},
     "center_frac": {"run": {**_RUN, "initial": {"kind": "gaussian", "center_frac": 1e3}}},
     "output": {"output": 5},
     "k_periods": {"run": {**_RUN, "initial": {"kind": "plane_wave", "k_periods": 1e300}}},
+    "k0_periods": {"run": {**_RUN, "initial": {"kind": "gaussian", "k0_periods": 1e308}}},
     # finite, but its square, the peak density, is not
     "A-huge": {"run": {**_RUN, "initial": {"kind": "plane_wave", "A": 1e300}}},
+    "steps-str": {"run": {**_RUN, "steps": "10"}},
+    "d_tau-str": {"run": {**_RUN, "d_tau": "abc"}},
+    "steps-bool": {"run": {**_RUN, "steps": True}},
+    "d_tau-inf": {"run": {**_RUN, "d_tau": float("inf")}},
+    "omega": {"run": {**_RUN, "potential": {"kind": "harmonic", "omega": "x"}}},
+    "level-time_set": {"time_set": {"kind": "cantor", "level": "x"}},
+    # beyond the level caps, which bound every grid by the Koch L10 node budget
+    "level-koch_11": {"curve": {"kind": "koch", "level": 11}},
+    "level-dust_21": {"curve": {"kind": "cantor_dust", "level": 21}},
+    # a dust's parameter domain is [0, T]
+    "p0-dust": {"curve": {"kind": "cantor_dust", "level": 3, "T": 2}, "p0": 2.5},
+    "harmonic_ground-periodic": {"run": {**_RUN, "boundary": "periodic",
+                                         "initial": {"kind": "harmonic_ground"},
+                                         "potential": {"kind": "harmonic"}}},
 }
 
 
 @pytest.mark.parametrize("case", list(_FAULTS))
-def test_evolve_config_faults_exit_2(tmp_path, capsys, case):
+def test_evolve_config_faults_exit_2(tmp_path, capsys, monkeypatch, case):
     # each fault is reported against its own key (the case name up to any
-    # "-"), before any numerical work
+    # "-") before anything is built or written
     key = case.split("-")[0]
+    out = tmp_path / "o"
     cfg = write_cfg(tmp_path / "cfg.json", {
         "curve": {"kind": "koch", "level": 3},
         "run": _RUN,
-        "output": str(tmp_path / "o"),
+        "output": str(out),
         **_FAULTS[case],
     })
+    calls = count_builds(monkeypatch)
     assert run_cli(["evolve", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
-    assert not (tmp_path / "o" / "error.json").exists()
+    assert_built_nothing(calls, err)
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("staircase", {"curve": {"kind": "koch", "level": 3},
+                   "time_set": {"kind": "cantor", "level": "x"}}, "level"),
+    ("dimension", {"curve": {"kind": "koch"}, "dimension": {"levels": [8, 9, 10, 11]}},
+     "levels"),
+], ids=["staircase-time_set", "dimension-levels"])
+def test_config_faults_exit_2_before_any_build(tmp_path, capsys, monkeypatch, command, cfg,
+                                               key):
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path / "cfg.json", {**cfg, "output": str(out)})
+    calls = count_builds(monkeypatch)
+    assert run_cli([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert calls == [] and list(out.glob("*")) == []
+
+
+def test_dust_p0_lies_in_zero_to_T(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "curve": {"kind": "cantor_dust", "level": 3, "T": 2},
+        "p0": 1.5,
+        "output": str(tmp_path / "out"),
+    })
+    assert run_cli(["staircase", cfg]) == 0
+    stair = io.read_staircase_csv(tmp_path / "out" / "staircase.csv")
+    assert stair["S"][0] < 0 < stair["S"][-1]
 
 
 def test_commands_without_time_stepping_do_not_load_scipy_linalg(tmp_path):
@@ -470,11 +522,17 @@ def _fuzzed_run(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(case=_fuzzed_run())
 def test_cli_fuzzed_evolution_configs_never_crash(case):
-    # any exception escaping cli.main fails the example, RuntimeWarnings included
+    # any exception escaping cli.main fails the example, RuntimeWarnings included;
+    # a config error comes before any build
     command, cfg = case
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         out = Path(tmp) / "out"
         path = write_cfg(Path(tmp) / "cfg.json", {**cfg, "output": str(out)})
-        code = run_cli([command, path])
+        calls = count_builds(mp)
+        err = StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli([command, path])
         assert code in (0, 1, 2)
         assert (code == 1) == (out / "error.json").exists()
+        if code == 2:
+            assert_built_nothing(calls, err.getvalue())
