@@ -53,8 +53,6 @@ from .dynamics import (
     stationary_ground_state,
 )
 from .flow import (
-    CurrentField,
-    DensityField,
     continuity_residual,
     probability_current,
     probability_density,

@@ -252,7 +252,8 @@ def _field(cfg):
         q = _number(fld, "k_periods", 1.0)
 
         def sin_field(grid, chart):
-            k = 2.0 * math.pi * q / (chart.values[-1] - chart.values[0])
+            k = 2.0 * math.pi * q / chart.total  # a Python float: overflow gives inf
+            _require(math.isfinite(k), "k_periods must give a finite wavenumber")
             return FieldOnCurve.from_chart_function(grid, chart, lambda s: np.sin(k * s))
 
         return sin_field
@@ -323,11 +324,20 @@ def _potential(run_cfg, constants):
     _require(kind == "harmonic", f"unknown potential kind {kind!r}")
     omega = _number(pot, "omega", 1.0, positive=True)
     center_frac = _number(pot, "center_frac", 0.5)
+    try:  # V = stiffness (S - center)^2
+        stiffness = 0.5 * constants.mass * omega ** 2
+    except OverflowError:
+        stiffness = math.inf
+    _require(stiffness < math.inf, "omega must keep 0.5 m omega^2 finite")
 
     def build(grid, chart):
-        center = chart.values[0] + center_frac * (chart.values[-1] - chart.values[0])
+        s0, s1 = map(float, chart.values[[0, -1]])  # V peaks at an end of the chart
+        center = s0 + center_frac * (s1 - s0)
+        reach = max(abs(s0 - center), abs(s1 - center))
+        _require(math.isfinite(stiffness * (reach * reach)),
+                 "center_frac must keep the peak of V, 0.5 m omega^2 max|S - center|^2, finite")
         return PotentialOnCurve(FieldOnCurve.from_chart_function(
-            grid, chart, lambda s: 0.5 * constants.mass * omega ** 2 * (s - center) ** 2))
+            grid, chart, lambda s: stiffness * (s - center) ** 2))
 
     return build
 

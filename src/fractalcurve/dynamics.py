@@ -281,6 +281,24 @@ def _is_node_grid(s: np.ndarray, m: int, periodic: bool) -> bool:
     return bool(np.all(ds > 0) and (ds.max() - ds.min()) <= 1e-9 * ds.mean())
 
 
+def _map_to_xi(psi: WaveFunction, num_points, periodic: bool):
+    """:func:`conjugate_map` of psi and whether its xi grid is the node grid."""
+    s = psi.space_chart.values
+    if s[-1] - s[0] <= 0:
+        raise ConjugacyError("the staircase chart is constant; no conjugate chart exists")
+    m = int(num_points) if num_points else len(s) - periodic
+    if m < 2:
+        raise ConjugacyError("need at least 2 xi points")
+    # a periodic grid stops one cell short of the seam, its wrap image
+    xi = np.linspace(s[0], s[-1], m + periodic)[:m]
+    on_node_grid = _is_node_grid(s, m, periodic)
+    if on_node_grid:
+        theta = psi.values[:m].copy()
+    else:
+        theta = np.interp(xi, *_dedup_plateaus(s, psi.values))
+    return ConjugateField(xi=xi, values=theta, periodic=periodic), on_node_grid
+
+
 def conjugate_map(psi: WaveFunction, num_points=None, periodic: bool = False) -> ConjugateField:
     """Resample psi onto a uniform grid in xi = S(v).
 
@@ -291,27 +309,7 @@ def conjugate_map(psi: WaveFunction, num_points=None, periodic: bool = False) ->
     :func:`conjugate_unmap` is exactly the identity (the seam node takes the
     first node's value); otherwise values are linearly interpolated in xi.
     """
-    s = psi.space_chart.values
-    if s[-1] - s[0] <= 0:
-        raise ConjugacyError("the staircase chart is constant; no conjugate chart exists")
-    m = int(num_points) if num_points else len(s) - periodic
-    if m < 2:
-        raise ConjugacyError("need at least 2 xi points")
-    # a periodic grid stops one cell short of the seam, its wrap image
-    xi = np.linspace(s[0], s[-1], m + periodic)[:m]
-    if _is_node_grid(s, m, periodic):
-        theta = psi.values[:m].copy()
-    else:
-        theta = np.interp(xi, *_dedup_plateaus(s, psi.values))
-    return ConjugateField(xi=xi, values=theta, periodic=periodic)
-
-
-def _xi_on_node_grid(conj: ConjugateField, s: np.ndarray) -> bool:
-    """Whether the xi grid of ``conj`` is the node grid of the chart values s."""
-    span = s[-1] - s[0]
-    # uniform-to-1e-9 increments leave the nodes within 1e-9 * span of a uniform grid
-    return (abs(conj.xi[0] - s[0]) <= 1e-9 * span and abs(conj.span - span) <= 1e-9 * span
-            and _is_node_grid(s, len(conj.xi), conj.periodic))
+    return _map_to_xi(psi, num_points, periodic)[0]
 
 
 def _unmap(conj: ConjugateField, like: WaveFunction, tau: float | None,
@@ -327,15 +325,33 @@ def _unmap(conj: ConjugateField, like: WaveFunction, tau: float | None,
 def conjugate_unmap(conj: ConjugateField, like: WaveFunction,
                     tau: float | None = None) -> WaveFunction:
     """Map conjugate values back to the curve nodes: a copy on the node grid, else interpolation."""
-    return _unmap(conj, like, tau, _xi_on_node_grid(conj, like.space_chart.values))
+    s = like.space_chart.values
+    span = s[-1] - s[0]
+    # uniform-to-1e-9 increments leave the nodes within 1e-9 * span of a uniform grid
+    on_node_grid = (abs(conj.xi[0] - s[0]) <= 1e-9 * span and abs(conj.span - span) <= 1e-9 * span
+                    and _is_node_grid(s, len(conj.xi), conj.periodic))
+    return _unmap(conj, like, tau, on_node_grid)
 
 
-def _potential_on_xi(potential: PotentialOnCurve | None, chart: Staircase,
-                     xi: np.ndarray) -> np.ndarray:
-    if potential is None:
-        return np.zeros_like(xi)
-    sd, vd = _dedup_plateaus(chart.values, potential.field.values)
-    return np.interp(xi, sd, vd)
+def _xi_hamiltonian(psi: WaveFunction, potential: PotentialOnCurve | None,
+                    periodic: bool, xi_points):
+    """The one discrete H = -hbar^2/(2m) d^2/dxi^2 + V, on the uniform xi grid of psi.
+
+    Returns psi on that grid, whether it is the node grid, the unknowns
+    (all of xi if periodic, else the interior), V on xi and the
+    off-diagonal ``off``: H is tridiagonal on the unknowns with diagonal
+    -2 off + V, and periodic grids couple the corners by ``off``.
+    """
+    conj, on_node_grid = _map_to_xi(psi, xi_points, periodic)
+    dof = slice(None) if periodic else slice(1, -1)
+    n = len(conj.xi[dof])
+    if n < 3:
+        raise SolverError(f"a {'periodic' if periodic else 'dirichlet'} xi grid needs "
+                          f"at least 3 unknowns, got {n}")
+    v = (np.zeros_like(conj.xi) if potential is None else
+         np.interp(conj.xi, *_dedup_plateaus(psi.space_chart.values, potential.field.values)))
+    hbar, m = psi.constants.hbar, psi.constants.mass
+    return conj, on_node_grid, dof, v, -hbar ** 2 / (2.0 * m * conj.dxi ** 2)
 
 
 class CrankNicolsonEvolver:
@@ -357,23 +373,17 @@ class CrankNicolsonEvolver:
         self.template = psi
         self.constants = psi.constants
         self.potential = potential
-        conj = conjugate_map(psi, num_points=xi_points, periodic=(boundary == "periodic"))
+        # the chart and the xi grid are fixed, so every snapshot unmaps alike
+        conj, self._on_node_grid, self._dof, self.v_base, self._off = _xi_hamiltonian(
+            psi, potential, boundary == "periodic", xi_points)
         self.xi = conj.xi
         self.dxi = conj.dxi
         self.theta = conj.values.astype(complex)
         self.tau = float(psi.tau)
-        # the chart and the xi grid are fixed, so every snapshot unmaps alike
-        self._on_node_grid = _xi_on_node_grid(conj, psi.space_chart.values)
-        self.v_base = _potential_on_xi(potential, psi.space_chart, self.xi)
-        hbar, m = self.constants.hbar, self.constants.mass
-        self._off = -hbar ** 2 / (2.0 * m * self.dxi ** 2)
-        self._lam = self.d_tau / (2.0 * hbar)
+        self._lam = self.d_tau / (2.0 * self.constants.hbar)
         if boundary == "dirichlet":
             self.theta[0] = 0.0
             self.theta[-1] = 0.0
-            self._dof = slice(1, -1)
-        else:
-            self._dof = slice(None)
         self._assemble(self.tau)
 
     def _v_at(self, tau: float) -> np.ndarray:
@@ -396,9 +406,6 @@ class CrankNicolsonEvolver:
         periodic = self.boundary == "periodic"
         diag = (-2.0 * self._off + self._v_at(tau))[self._dof]
         n = len(diag)
-        if n < 3:
-            raise SolverError(
-                f"{self.boundary} Crank-Nicolson needs at least 3 unknowns, got {n}")
         c = 1j * self._lam * self._off
         a_diag = 1.0 + 1j * self._lam * diag
         if periodic:
@@ -473,7 +480,7 @@ def kernel_step(psi: WaveFunction, step: KernelStep, xi_points=None) -> WaveFunc
     approaches ``step.normalization / dxi`` as the damping vanishes and
     the grid refines.
     """
-    conj = conjugate_map(psi, num_points=xi_points, periodic=True)
+    conj, on_node_grid = _map_to_xi(psi, xi_points, True)
     m = len(conj.xi)
     dxi = conj.dxi
     if step.width() < 4.0 * dxi:
@@ -499,7 +506,7 @@ def kernel_step(psi: WaveFunction, step: KernelStep, xi_points=None) -> WaveFunc
     normalizer = np.sum(kern)
     theta_new = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(conj.values)) / normalizer
     out = ConjugateField(conj.xi, theta_new, periodic=True)
-    return conjugate_unmap(out, psi, tau=psi.tau + step.epsilon)
+    return _unmap(out, psi, psi.tau + step.epsilon, on_node_grid)
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -512,6 +519,7 @@ def _gauss_legendre(n: int):
 
 
 _MAX_PANELS = 2_000_000
+_NODES_PER_PANEL = 12  # Gauss-Legendre nodes; kernel_moments checks against 4 more
 _BLOCK_PANELS = 1 << 14  # panels whose nodes exist at once (about 0.2M nodes)
 
 
@@ -544,7 +552,7 @@ def _kernel_panels(step: KernelStep, eta: float):
     return b, panels
 
 
-def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12):
+def _raw_kernel_moments(step: KernelStep, eta: float, nodes: int):
     """Phase-exact composite Gauss-Legendre quadrature of the kernel moments.
 
     Both integrands are even in delta, so the moments are twice their
@@ -571,7 +579,7 @@ def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12)
     """
     b, panels = _kernel_panels(step, eta)
     h = 2.0 * math.pi / b.imag
-    gl_x, gl_w = _gauss_legendre(nodes_per_panel)
+    gl_x, gl_w = _gauss_legendre(nodes)
     t = 0.5 * (1.0 + gl_x)
     # panel 0 in delta over [0, sqrt(h / 2)] and [sqrt(h / 2), sqrt(h)], doubled
     # for the negative side
@@ -582,8 +590,8 @@ def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12)
     m0 = complex(np.sum(head))
     m2 = complex(np.sum(0.5 * delta ** 2 * head))
     # panels 1 .. panels-1 in u
-    inv_sum = np.zeros(nodes_per_panel)
-    root_sum = np.zeros(nodes_per_panel)
+    inv_sum = np.zeros(nodes)
+    root_sum = np.zeros(nodes)
     for lo in range(1, panels, _BLOCK_PANELS):
         k = np.arange(lo, min(lo + _BLOCK_PANELS, panels), dtype=float)
         amp = np.exp(b.real * h * k)
@@ -606,8 +614,7 @@ def _raw_kernel_moments(step: KernelStep, eta: float, nodes_per_panel: int = 12)
     return m0 / a, 0j, m2 / a
 
 
-def kernel_moments(step: KernelStep, extrapolate: bool = True,
-                   nodes_per_panel: int = 12) -> tuple[complex, complex, complex]:
+def kernel_moments(step: KernelStep, extrapolate: bool = True) -> tuple[complex, complex, complex]:
     """Numerical moments of the normalized kernel: weights 1, delta, delta^2/2.
 
     With ``extrapolate`` (default) the damped values at 2*eta and eta are
@@ -623,8 +630,8 @@ def kernel_moments(step: KernelStep, extrapolate: bool = True,
     eta = step.damping_eta
     _kernel_panels(step, eta)  # the smallest damping needs the most panels
     check_eta = 8.0 * eta
-    check_lo = _raw_kernel_moments(step, check_eta, nodes_per_panel=nodes_per_panel)
-    check_hi = _raw_kernel_moments(step, check_eta, nodes_per_panel=nodes_per_panel + 4)
+    check_lo = _raw_kernel_moments(step, check_eta, _NODES_PER_PANEL)
+    check_hi = _raw_kernel_moments(step, check_eta, _NODES_PER_PANEL + 4)
     drift = max(abs(a - b) for a, b in zip(check_lo, check_hi))
     scale = max(1e-300, abs(check_hi[0]))
     if drift > 1e-8 * scale:
@@ -632,10 +639,10 @@ def kernel_moments(step: KernelStep, extrapolate: bool = True,
             "kernel moment quadrature did not converge under node refinement",
             diagnostics={"coarse": check_lo, "fine": check_hi, "drift": drift},
         )
-    at_eta = _raw_kernel_moments(step, eta, nodes_per_panel=nodes_per_panel)
+    at_eta = _raw_kernel_moments(step, eta, _NODES_PER_PANEL)
     if not extrapolate:
         return at_eta
-    at_2eta = _raw_kernel_moments(step, 2.0 * eta, nodes_per_panel=nodes_per_panel)
+    at_2eta = _raw_kernel_moments(step, 2.0 * eta, _NODES_PER_PANEL)
     return tuple(2.0 * a - b for a, b in zip(at_eta, at_2eta))
 
 
@@ -697,25 +704,23 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
                             constants: PhysicalConstants = PhysicalConstants(),
                             time_chart: Staircase | None = None,
                             xi_points=None) -> WaveFunction:
-    """Ground state of the discrete Dirichlet Hamiltonian used by the evolver.
+    """Ground state of the discrete Dirichlet Hamiltonian that the evolver steps with.
 
-    Being an exact eigenvector of the Crank-Nicolson operator, its modulus
-    is stationary under :func:`evolve` up to linear-solve roundoff.
+    Both take H from one builder, so the state is an exact eigenvector of
+    the Crank-Nicolson operator and its modulus is stationary under
+    :func:`evolve` up to linear-solve roundoff.
     """
     from scipy.linalg import eigh_tridiagonal
 
     zero = WaveFunction(FieldOnCurve.constant(grid, space_chart, 0.0 + 0.0j),
                         time_chart=time_chart, constants=constants)
-    conj = conjugate_map(zero, num_points=xi_points)
-    v = _potential_on_xi(potential, space_chart, conj.xi)
-    hbar, m = constants.hbar, constants.mass
-    off = -hbar ** 2 / (2.0 * m * conj.dxi ** 2)
-    diag = -2.0 * off + v
-    vals, vecs = eigh_tridiagonal(diag[1:-1], np.full(len(conj.xi) - 3, off),
+    conj, on_node_grid, dof, v, off = _xi_hamiltonian(zero, potential, False, xi_points)
+    diag = (-2.0 * off + v)[dof]
+    vals, vecs = eigh_tridiagonal(diag, np.full(len(diag) - 1, off),
                                   select="i", select_range=(0, 0))
     theta = np.zeros(len(conj.xi), dtype=complex)
-    theta[1:-1] = vecs[:, 0]
-    psi = conjugate_unmap(ConjugateField(conj.xi, theta), zero, tau=0.0)
+    theta[dof] = vecs[:, 0]
+    psi = _unmap(ConjugateField(conj.xi, theta), zero, 0.0, on_node_grid)
     return psi.normalized()
 
 

@@ -15,7 +15,6 @@ from .curves import CurveGrid, TimeSet
 from .measure import Staircase
 
 __all__ = [
-    "fmt",
     "write_curve_csv",
     "read_curve_csv",
     "write_staircase_csv",
@@ -32,10 +31,6 @@ __all__ = [
 ]
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # rows formatted per ``%`` and written per ``write``; bounds the text held at once
 _BLOCK_ROWS = 1024
 
@@ -43,13 +38,12 @@ _BLOCK_ROWS = 1024
 def _write_table(path, header: str, columns) -> None:
     """Write equal-length ``columns`` as CSV rows under ``header``.
 
-    A numeric column is written as :func:`fmt` writes each float, 17
+    A numeric column is written as ``"%.17g" % x`` writes each float, 17
     significant digits; a column of str is written as it is, so a caller
     can pass fields it formatted earlier.  Each block of ``_BLOCK_ROWS``
     rows is formatted by one ``%`` over a flat tuple and written by one
-    ``write``: ``"%.17g" % x`` gives the digits of ``fmt(x)``, and the
-    per-row Python work it saves leaves about the cost of the float
-    conversions themselves, ~1 µs per float.
+    ``write``: the per-row Python work this saves leaves about the cost of
+    the float conversions themselves, ~1 µs per float.
     """
     text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
     cols = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, text)]

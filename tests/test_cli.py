@@ -360,6 +360,10 @@ _FAULTS = {
     "level-dust_21": {"curve": {"kind": "cantor_dust", "level": 21}},
     # a dust's parameter domain is [0, T]
     "p0-dust": {"curve": {"kind": "cantor_dust", "level": 3, "T": 2}, "p0": 2.5},
+    # 0.5 m omega^2 overflows; the peak of V at center_frac lies beyond the float range
+    "omega-huge": {"run": {**_RUN, "potential": {"kind": "harmonic", "omega": 1e200}}},
+    "center_frac-potential": {"run": {**_RUN, "potential": {"kind": "harmonic",
+                                                            "center_frac": 1e300}}},
     "harmonic_ground-periodic": {"run": {**_RUN, "boundary": "periodic",
                                          "initial": {"kind": "harmonic_ground"},
                                          "potential": {"kind": "harmonic"}}},
@@ -386,12 +390,19 @@ def test_evolve_config_faults_exit_2(tmp_path, capsys, monkeypatch, case):
     assert list(out.glob("*")) == []
 
 
+_KOCH3 = {"curve": {"kind": "koch", "level": 3}}
+
+
 @pytest.mark.parametrize("command,cfg,key", [
-    ("staircase", {"curve": {"kind": "koch", "level": 3},
-                   "time_set": {"kind": "cantor", "level": "x"}}, "level"),
+    ("staircase", {**_KOCH3, "time_set": {"kind": "cantor", "level": "x"}}, "level"),
     ("dimension", {"curve": {"kind": "koch"}, "dimension": {"levels": [8, 9, 10, 11]}},
      "levels"),
-], ids=["staircase-time_set", "dimension-levels"])
+    # finite, but 2 pi k_periods over the chart's span is not
+    ("derive", {**_KOCH3, "field": {"kind": "sin_staircase", "k_periods": 1e308}},
+     "k_periods"),
+    ("continuity", {**_KOCH3, "run": {**_RUN, "potential": {"kind": "harmonic",
+                                                            "omega": 1e200}}}, "omega"),
+], ids=["staircase-time_set", "dimension-levels", "derive-k_periods", "continuity-omega"])
 def test_config_faults_exit_2_before_any_build(tmp_path, capsys, monkeypatch, command, cfg,
                                                key):
     out = tmp_path / "o"
@@ -400,7 +411,8 @@ def test_config_faults_exit_2_before_any_build(tmp_path, capsys, monkeypatch, co
     assert run_cli([command, path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
-    assert calls == [] and list(out.glob("*")) == []
+    assert_built_nothing(calls, err)
+    assert list(out.glob("*")) == []
 
 
 def test_dust_p0_lies_in_zero_to_T(tmp_path):
@@ -433,11 +445,16 @@ def test_commands_without_time_stepping_do_not_load_scipy_linalg(tmp_path):
     assert done.stdout.strip() == "False"
 
 
-def test_two_point_periodic_grid_is_a_numerical_failure(tmp_path):
+@pytest.mark.parametrize("run", [
+    {"boundary": "periodic", "initial": {"kind": "plane_wave"}},
+    {"initial": {"kind": "harmonic_ground"}, "potential": {"kind": "harmonic"}},
+], ids=["periodic-plane_wave", "dirichlet-harmonic_ground"])
+def test_two_point_periodic_grid_is_a_numerical_failure(tmp_path, run):
+    # two xi points leave fewer than the 3 unknowns that the discrete H needs,
+    # on either boundary, for the evolver and the ground state alike
     cfg = write_cfg(tmp_path / "cfg.json", {
         "curve": {"kind": "line", "segments": 16},
-        "run": {"d_tau": 1e-3, "steps": 5, "boundary": "periodic", "xi_points": 2,
-                "initial": {"kind": "plane_wave"}},
+        "run": {"d_tau": 1e-3, "steps": 5, "xi_points": 2, **run},
         "output": str(tmp_path / "o"),
     })
     assert run_cli(["evolve", cfg]) == 1

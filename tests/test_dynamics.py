@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fractalcurve as fc
+from fractalcurve import dynamics
 from fractalcurve.errors import (
     AlignmentError,
     ConjugacyError,
@@ -250,24 +251,50 @@ def test_crank_nicolson_step_matches_dense_oracle(boundary, n):
             assert np.linalg.norm(ev.theta[dof] - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
-@pytest.mark.parametrize("level,steps", [(5, 1000), (7, 1000), (9, 100)])
+def _free_cayley_exact(theta0, off, lam, steps, periodic):
+    """n free Crank-Nicolson steps done exactly in H's eigenbasis.
+
+    With V = 0 the periodic H is diagonal in the DFT basis, eigenvalue
+    -2 off (1 - cos(2 pi k / n)) on mode k.  A Dirichlet state evolves
+    as its odd extension [0, theta, 0, -reversed theta] on a periodic grid
+    of 2 (n + 1) points, which is the DST-I through one FFT.
+    """
+    ext = theta0 if periodic else np.concatenate([[0.0], theta0, [0.0], -theta0[::-1]])
+    h = -2.0 * off * (1.0 - np.cos(2.0 * np.pi * np.arange(len(ext)) / len(ext)))
+    g = (1.0 - 1j * lam * h) / (1.0 + 1j * lam * h)
+    out = np.fft.ifft(g ** steps * np.fft.fft(ext))
+    return out if periodic else out[1:len(theta0) + 1]
+
+
+@pytest.mark.parametrize("level,steps", [(5, 1000), (6, 1000), (7, 1000), (9, 100)])
 def test_probability_drift_within_dispersion_bound(level, steps):
     # each step's roundoff grows with the dispersion number
     # r = hbar d_tau / (2 m dxi^2), so N steps may drift by r N eps,
-    # floored at 1e-12 (the form of perfbench's drift_bound)
+    # floored at 1e-12 (the form of perfbench's drift_bound).  The norm
+    # cannot see a phase error, so the state itself must stay within
+    # 8 r N eps max|theta| of the exact free steps (measured: 0.3-0.6 at
+    # levels 5-7, 0.8-1.0 at level 9)
     grid = fc.build_koch(level)
     chart = fc.build_staircase(grid, KOCH_DIM)
     total = chart.values[-1] - chart.values[0]
+    eps = np.finfo(float).eps
     for boundary in ("dirichlet", "periodic"):
+        periodic = boundary == "periodic"
         psi = fc.gaussian_packet(grid, chart, center=chart.values[0] + 0.5 * total,
                                  sigma=total / 12.0, k0=6.0 * math.pi / total,
-                                 periodic=(boundary == "periodic"))
+                                 periodic=periodic)
         ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-4, boundary=boundary)
         r = CONST.hbar * ev.d_tau / (2.0 * CONST.mass * ev.dxi ** 2)
         p0 = fc.total_probability(ev.snapshot())
+        dof = slice(None) if periodic else slice(1, -1)
+        theta0 = ev.theta[dof].copy()
+        off = -CONST.hbar ** 2 / (2.0 * CONST.mass * ev.dxi ** 2)
+        exact = _free_cayley_exact(theta0, off, ev.d_tau / (2.0 * CONST.hbar), steps, periodic)
         ev.step(steps)
         drift = abs(fc.total_probability(ev.snapshot()) - p0)
-        assert drift <= max(1e-12, r * steps * np.finfo(float).eps), (boundary, r, drift)
+        assert drift <= max(1e-12, r * steps * eps), (boundary, r, drift)
+        err = np.max(np.abs(ev.theta[dof] - exact)) / (r * steps * eps * np.max(np.abs(theta0)))
+        assert err <= 8.0, (boundary, r, err)
 
 
 def test_free_gaussian_variance_growth():
@@ -339,8 +366,22 @@ def test_harmonic_ground_state_is_stationary():
     analytic = fc.gaussian_packet(grid, chart, center=8.0, sigma=width)
     overlap = abs(fc.falpha_integral(gs.field.with_values(np.conj(gs.values) * analytic.values)))
     assert overlap > 0.9999
-    ev = fc.CrankNicolsonEvolver(gs, potential, d_tau=1e-3, boundary="dirichlet")
-    ev.step(int(round(2.0 * math.pi / omega / 1e-3)))
+    d_tau = 1e-3
+    ev = fc.CrankNicolsonEvolver(gs, potential, d_tau=d_tau, boundary="dirichlet")
+    # the evolver steps with the H that the ground state diagonalizes, so one
+    # step multiplies it by g = (1 - i lam E) / (1 + i lam E), E the Rayleigh
+    # quotient of an H built here on the node grid (the xi grid of this chart)
+    theta = ev.theta[1:-1].copy()
+    off = -CONST.hbar ** 2 / (2.0 * CONST.mass * (chart.total / 1023) ** 2)
+    h_theta = (-2.0 * off + vfield.values[1:-1]) * theta
+    h_theta[1:] += off * theta[:-1]
+    h_theta[:-1] += off * theta[1:]
+    energy = np.vdot(theta, h_theta).real / np.vdot(theta, theta).real
+    lam = d_tau / (2.0 * CONST.hbar)
+    ev.step()
+    g = (1.0 - 1j * lam * energy) / (1.0 + 1j * lam * energy)
+    assert np.linalg.norm(ev.theta[1:-1] - g * theta) <= 1e-13 * np.linalg.norm(theta)
+    ev.step(int(round(2.0 * math.pi / omega / d_tau)) - 1)
     drift = np.max(np.abs(np.abs(ev.snapshot().values) - np.abs(gs.values)))
     assert drift <= 1e-6
 
@@ -508,12 +549,13 @@ def test_kernel_moments_extrapolated_at_smallest_damping():
     assert abs(m2 - m2_expect) <= 2e-7 * abs(m2)
 
 
-def test_kernel_moments_refinement_guard():
+def test_kernel_moments_refinement_guard(monkeypatch):
     # two nodes per panel cannot resolve one phase period; the check at
-    # 8 eta against nodes_per_panel + 4 must catch it
+    # 8 eta against 4 more nodes per panel must catch it
+    monkeypatch.setattr(dynamics, "_NODES_PER_PANEL", 2)
     step = fc.KernelStep(epsilon=1e-3, damping_eta=1e-4)
     with pytest.raises(QuadratureError) as info:
-        fc.kernel_moments(step, nodes_per_panel=2)
+        fc.kernel_moments(step)
     diag = info.value.diagnostics
     assert {"coarse", "fine", "drift"} <= set(diag)
     assert diag["drift"] > 1e-8 * abs(diag["fine"][0])

@@ -17,13 +17,13 @@ def _plane_wave(grid, chart, periods=1):
 
 def test_density_plane_wave_is_one(koch5):
     psi, _ = _plane_wave(*koch5)
-    np.testing.assert_allclose(fc.probability_density(psi).field.values, 1.0, atol=1e-14)
+    np.testing.assert_allclose(fc.probability_density(psi).values, 1.0, atol=1e-14)
 
 
 def test_density_zero_state(koch5):
     grid, chart = koch5
     psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 0.0 + 0j))
-    assert np.max(fc.probability_density(psi).field.values) == 0.0
+    assert np.max(fc.probability_density(psi).values) == 0.0
 
 
 def test_density_analytic_gaussian_normalization():
@@ -36,15 +36,9 @@ def test_density_analytic_gaussian_normalization():
     assert fc.total_probability(psi) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_density_rejects_negative_values(koch5):
-    grid, chart = koch5
-    with pytest.raises(ValueError):
-        fc.DensityField(fc.FieldOnCurve.constant(grid, chart, -1.0))
-
-
 def test_current_plane_wave(koch5):
     psi, k = _plane_wave(*koch5, periods=2)
-    j = fc.probability_current(psi).field.values
+    j = fc.probability_current(psi).values
     expect = CONST.hbar * k / CONST.mass
     dxi = np.max(psi.space_chart.increments)
     np.testing.assert_allclose(j, expect, rtol=(k * dxi) ** 2 * 2.0)
@@ -53,37 +47,18 @@ def test_current_plane_wave(koch5):
 def test_current_real_state_and_conjugation(koch5):
     grid, chart = koch5
     real = fc.WaveFunction(fc.FieldOnCurve(grid, np.cos(3.0 * chart.values) + 0j, chart))
-    assert np.max(np.abs(fc.probability_current(real).field.values)) == 0.0
+    assert np.max(np.abs(fc.probability_current(real).values)) == 0.0
 
     psi, _ = _plane_wave(grid, chart)
-    j = fc.probability_current(psi).field.values
-    j_conj = fc.probability_current(psi.with_values(np.conj(psi.values))).field.values
+    j = fc.probability_current(psi).values
+    j_conj = fc.probability_current(psi.with_values(np.conj(psi.values))).values
     np.testing.assert_array_equal(j_conj, -j)
 
 
-def test_current_constant_zero_both_forms(koch5):
+def test_current_of_constant_state_is_zero(koch5):
     grid, chart = koch5
     psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 0.7 - 0.2j))
-    for form in ("first_derivative", "second_derivative"):
-        assert np.max(np.abs(fc.probability_current(psi, form=form).field.values)) == 0.0
-    with pytest.raises(ValueError):
-        fc.probability_current(psi, form="third_derivative")
-
-
-def test_second_derivative_current_reproduces_density_rate():
-    # the printed second-derivative bracket equals d(rho)/d(tau), not a flux
-    grid = fc.build_line((0, 0, 0), (16, 0, 0), 1023)
-    chart = fc.build_staircase(grid, 1.0)
-    psi = fc.gaussian_packet(grid, chart, center=6.0, sigma=1.2, k0=1.0)
-    dt = 5e-4
-    ev = fc.CrankNicolsonEvolver(psi, None, d_tau=dt, boundary="dirichlet")
-    ev.step(20); a = ev.snapshot()
-    ev.step(1); b = ev.snapshot()
-    ev.step(1); c = ev.snapshot()
-    drho = (np.abs(c.values) ** 2 - np.abs(a.values) ** 2) / (2 * dt)
-    literal = fc.probability_current(b, form="second_derivative").field.values
-    mask = np.abs(b.values) ** 2 > 1e-6
-    np.testing.assert_allclose(literal[mask], drho[mask], atol=5e-3)
+    assert np.max(np.abs(fc.probability_current(psi).values)) == 0.0
 
 
 def test_continuity_residual_stationary_state():
