@@ -11,6 +11,7 @@ from .curves import (
     build_koch,
     build_line,
     koch_generator,
+    level_cap,
 )
 from .measure import (
     DimensionEstimate,

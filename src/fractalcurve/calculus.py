@@ -197,13 +197,10 @@ def falpha_integral(f: FieldOnCurve, a: float | None = None, b: float | None = N
     return complex(total) if f.is_complex else float(total)
 
 
-def gradient(f: FieldOnCurve, grid: CurveGrid | None = None) -> VectorFieldOnCurve:
+def gradient(f: FieldOnCurve) -> VectorFieldOnCurve:
     """(df/dS) times the unit chord tangent at each node."""
-    grid = f.grid if grid is None else grid
-    if grid is not f.grid:
-        raise AlignmentError("gradient grid must be the field's own grid")
     df = falpha_derivative(f).values
-    return VectorFieldOnCurve.from_array(grid, df[:, None] * grid.unit_tangents(), f.chart)
+    return VectorFieldOnCurve.from_array(f.grid, df[:, None] * f.grid.unit_tangents(), f.chart)
 
 
 def divergence(vf: VectorFieldOnCurve, form: str = "tangential") -> FieldOnCurve:

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__, io
 from .calculus import FieldOnCurve, falpha_derivative, falpha_integral
-from .curves import DEFAULT_LEVEL_CAP, build_cantor_dust, build_cantor_time, build_koch, build_line
+from .curves import (MAX_SEGMENTS, build_cantor_dust, build_cantor_time, build_koch,
+                     build_line, level_cap)
 from .dynamics import (
     CrankNicolsonEvolver,
     PhysicalConstants,
@@ -44,10 +45,9 @@ from .measure import build_staircase, estimate_gamma_dimension, gamma_premeasure
 
 OUTPUT_ROOT_ENV = "FRACTALCURVE_OUTPUT_ROOT"
 
-# node budget of any grid a config asks for: the finest Koch curve's 4^cap segments
-_MAX_SEGMENTS = 4 ** DEFAULT_LEVEL_CAP
-_MAX_LEVEL = 2 * DEFAULT_LEVEL_CAP  # binary refinement (line, Cantor time set) to that budget
-_LEVEL_CAP = {"koch": DEFAULT_LEVEL_CAP, "cantor_dust": _MAX_LEVEL, "line": _MAX_LEVEL}
+# the builders' level caps, checked here so a config fault exits 2 before any build;
+# a line's level l means 2^l segments
+_LEVEL_CAP = {"koch": level_cap(4), "cantor_dust": level_cap(2), "line": level_cap(2)}
 
 
 class ConfigError(Exception):
@@ -162,7 +162,7 @@ def _curve(cfg, own=True):
         start = _point(curve, "start", [0.0, 0.0, 0.0])
         end = _point(curve, "end", [1.0, 0.0, 0.0])
         if own:
-            segments = _int(curve, "segments", required=True, minimum=1, maximum=_MAX_SEGMENTS)
+            segments = _int(curve, "segments", required=True, minimum=1, maximum=MAX_SEGMENTS)
             level = _int(curve, "level", 0)
     else:
         if own:
@@ -192,6 +192,8 @@ def _field_context(cfg):
         levels = list(range(max(1, top - 4), top + 1)) if top >= 3 else [1, 2, 3]
     else:
         alpha = _number(cfg, "alpha_space", 1.0, positive=True)
+        # a curve in R^3 has dimension at most 3 (Gamma(alpha + 1) overflows past ~170)
+        _require(alpha <= 3.0, "alpha_space must lie in (0, 3], 3 being the dimension of R^3")
 
     def build():
         grid = grid_at()
@@ -216,7 +218,7 @@ def _time_set(cfg):
         return None
     _require(kind == "cantor", f"unknown time_set kind {kind!r}")
     T = _number(ts_cfg, "T", 1.0, positive=True)
-    level = _int(ts_cfg, "level", required=True, maximum=_MAX_LEVEL)
+    level = _int(ts_cfg, "level", required=True, maximum=level_cap(2))
     return lambda: build_cantor_time(T, level)
 
 
@@ -263,8 +265,8 @@ def _field(cfg):
 
 
 def _initial_state(run_cfg, constants, boundary, xi_points, has_potential):
-    """Kind and builder ``(grid, chart, time_chart, potential) -> (psi0, plane-wave params
-    or None)``; the builder checks the keys the chart's span bounds (see README)."""
+    """Kind and builder ``(grid, chart, potential) -> (psi0, plane-wave params or None)``;
+    the builder checks the keys the chart's span bounds (see README)."""
     init = _section(run_cfg, "initial", required=True)
     kind = _get(init, "kind", required=True)
     if kind == "plane_wave":
@@ -277,7 +279,7 @@ def _initial_state(run_cfg, constants, boundary, xi_points, has_potential):
         _require(peak < math.inf, "A and B must keep the peak density (|A| + |B|)^2 finite")
 
         # chart.total is a Python float: an overflow gives inf, not a numpy warning
-        def build(grid, chart, time_chart, potential):
+        def build(grid, chart, potential):
             k = 2.0 * math.pi * q / chart.total
             try:
                 params = PlaneWaveParams.from_wavenumber(k, A=A, B=B, constants=constants)
@@ -286,21 +288,20 @@ def _initial_state(run_cfg, constants, boundary, xi_points, has_potential):
             # the phase check divides by beta, so it must be finite and nonzero
             _require(params is not None and params.beta > 0,
                      "k_periods must give a finite, nonzero phase rate beta = hbar k^2 / (2 m)")
-            return plane_wave(params, grid, chart, time_chart=time_chart,
-                              constants=constants), params
+            return plane_wave(params, grid, chart), params
     elif kind == "gaussian":
         center_frac = _number(init, "center_frac", 0.5)
         sigma_frac = _number(init, "sigma_frac", 1.0 / 12.0, positive=True)
         k0_periods = _number(init, "k0_periods", 0.0)
 
-        def build(grid, chart, time_chart, potential):
+        def build(grid, chart, potential):
             s0, s_total = float(chart.values[0]), chart.total
             k0 = 2.0 * math.pi * k0_periods / s_total
             _require(math.isfinite(k0), "k0_periods must give a finite wavenumber")
             try:
                 psi = gaussian_packet(grid, chart, s0 + center_frac * s_total,
-                                      sigma_frac * s_total, k0, time_chart=time_chart,
-                                      constants=constants, periodic=boundary == "periodic")
+                                      sigma_frac * s_total, k0, constants=constants,
+                                      periodic=boundary == "periodic")
             except ValueError as exc:
                 raise ConfigError(f"gaussian center_frac and sigma_frac give no packet: {exc}")
             return psi, None
@@ -309,9 +310,9 @@ def _initial_state(run_cfg, constants, boundary, xi_points, has_potential):
         _require(boundary == "dirichlet", "harmonic_ground requires dirichlet boundary")
         _require(has_potential, "harmonic_ground requires a potential")
 
-        def build(grid, chart, time_chart, potential):
+        def build(grid, chart, potential):
             return stationary_ground_state(grid, chart, potential, constants=constants,
-                                           time_chart=time_chart, xi_points=xi_points), None
+                                           xi_points=xi_points), None
     return kind, build
 
 
@@ -415,7 +416,7 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     stride = _int(run_cfg, "snapshot_stride", max(1, steps // 10), minimum=1)
     boundary = _get(run_cfg, "boundary", "dirichlet")
     _require(boundary in ("dirichlet", "periodic"), "boundary must be dirichlet or periodic")
-    xi_points = _int(run_cfg, "xi_points", minimum=1, maximum=_MAX_SEGMENTS + 1)
+    xi_points = _int(run_cfg, "xi_points", minimum=1, maximum=MAX_SEGMENTS + 1)
     field_context = _field_context(cfg)
     constants = _physics(cfg)
     time_set = _time_set(cfg)
@@ -424,9 +425,9 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
                                       potential_at is not None)
 
     grid, alpha, chart = field_context()
-    time_chart = time_set().time_staircase if time_set else None
+    ts = time_set() if time_set else None
     potential = potential_at(grid, chart) if potential_at else None
-    psi0, pw_params = initial_at(grid, chart, time_chart, potential)
+    psi0, pw_params = initial_at(grid, chart, potential)
     ground = kind == "harmonic_ground"
 
     # one pass: each snapshot is written and folded into the checks, then
@@ -463,8 +464,8 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
         "final_tau": ev.tau,
         "final_total_probability": total_probability(psi),
     }
-    if time_chart is not None:
-        derived["final_wall_time"] = psi.wall_time()
+    if ts is not None:
+        derived["final_wall_time"] = float(ts.t_of(ev.tau))
 
     if pw_params is not None:
         beta_measured = -phase / (psi.tau - psi0.tau)

@@ -15,10 +15,25 @@ import numpy as np
 
 from .errors import DegenerateCurveError, ResourceLimitError
 
-DEFAULT_LEVEL_CAP = 10
+# node budget of every builder: the finest Koch curve's 4^10 segments
+MAX_SEGMENTS = 4 ** 10
 
 _ORIGIN = np.zeros(3)
 _E1 = np.array([1.0, 0.0, 0.0])
+
+
+def level_cap(branching: int) -> int:
+    """Finest level whose branching^level segments fit MAX_SEGMENTS (a branching of 1 as 2)."""
+    branching, cap = max(branching, 2), 0
+    while branching ** (cap + 1) <= MAX_SEGMENTS:
+        cap += 1
+    return cap
+
+
+def _check_level(level: int, branching: int):
+    cap = level_cap(branching)
+    if level > cap:
+        raise ResourceLimitError(f"level {level} exceeds the cap {cap} ({MAX_SEGMENTS} segments)")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -169,20 +184,15 @@ def koch_generator() -> GeneratorSpec:
     )
 
 
-def build_generator_curve(generator: GeneratorSpec, level: int,
-                          max_level: int = DEFAULT_LEVEL_CAP) -> CurveGrid:
+def build_generator_curve(generator: GeneratorSpec, level: int) -> CurveGrid:
     """Iterate ``generator`` ``level`` times on the unit segment.
 
     Produces g^level + 1 nodes with the uniform generator-index
-    parameterization v_i = i / g^level.
+    parameterization v_i = i / g^level, for level <= ``level_cap(g)``.
     """
     if level < 0:
         raise ValueError("level must be non-negative")
-    if level > max_level:
-        raise ResourceLimitError(
-            f"level {level} exceeds the cap {max_level} "
-            f"({generator.segment_count ** level + 1} nodes)"
-        )
+    _check_level(level, generator.segment_count)
     pts = np.array([_ORIGIN, _E1])
     for _ in range(level):
         blocks = [m.apply(pts) for m in generator.segments]
@@ -196,21 +206,23 @@ def build_generator_curve(generator: GeneratorSpec, level: int,
     return CurveGrid(params=params, points=pts, level=level, param_domain=(0.0, 1.0))
 
 
-def build_koch(level: int, max_level: int = DEFAULT_LEVEL_CAP) -> CurveGrid:
-    """Von Koch curve at the given refinement level (4^level + 1 nodes)."""
-    return build_generator_curve(koch_generator(), level, max_level=max_level)
+def build_koch(level: int) -> CurveGrid:
+    """Von Koch curve at the given refinement level (4^level + 1 nodes, level <= 10)."""
+    return build_generator_curve(koch_generator(), level)
 
 
 def build_line(a, b, n: int, level: int = 0) -> CurveGrid:
     """Straight segment from ``a`` to ``b`` sampled at n+1 equally spaced nodes.
 
-    ``level`` tags the grid for refinement studies (e.g. n = 2**level
-    segments); it does not affect the geometry.
+    n is at most MAX_SEGMENTS.  ``level`` tags the grid for refinement
+    studies (e.g. n = 2**level segments); it does not affect the geometry.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_SEGMENTS:
+        raise ResourceLimitError(f"{n} segments exceed the budget of {MAX_SEGMENTS}")
     if np.array_equal(a, b):
         raise DegenerateCurveError("line endpoints coincide")
     frac = np.linspace(0.0, 1.0, n + 1)
@@ -232,22 +244,20 @@ def _cantor_intervals(T: float, level: int) -> np.ndarray:
     return intervals
 
 
-def build_cantor_dust(level: int, T: float = 1.0,
-                      max_level: int = 2 * DEFAULT_LEVEL_CAP) -> CurveGrid:
+def build_cantor_dust(level: int, T: float = 1.0) -> CurveGrid:
     """Middle-thirds Cantor set at finite level, embedded on a line with gaps skipped.
 
     Parameters are the left endpoints of the kept intervals (plus the final
     right endpoint) in the original [0, T]; positions advance only by kept
     length, so subdivision chords never straddle a removed gap.  This makes
     the grid's chord structure exactly self-similar: 2^level chords of
-    length T * 3^-level.
+    length T * 3^-level, level <= 20.
     """
     if level < 0:
         raise ValueError("level must be non-negative")
     if T <= 0:
         raise ValueError("T must be positive")
-    if level > max_level:
-        raise ResourceLimitError(f"level {level} exceeds the cap {max_level}")
+    _check_level(level, 2)
     intervals = _cantor_intervals(T, level)
     params = np.concatenate([intervals[:, 0], intervals[-1:, 1]])
     kept = intervals[:, 1] - intervals[:, 0]
@@ -300,7 +310,7 @@ CANTOR_TIME_ALPHA = math.log(2.0) / math.log(3.0)
 
 
 def build_cantor_time(T: float, level: int, alpha: float = CANTOR_TIME_ALPHA) -> TimeSet:
-    """Middle-thirds removal iterated ``level`` times on [0, T].
+    """Middle-thirds removal iterated ``level`` (at most 20) times on [0, T].
 
     Returns the set together with its devil's-staircase chart of exponent
     ``alpha`` (default log2/log3, the set's similarity dimension).
@@ -311,6 +321,7 @@ def build_cantor_time(T: float, level: int, alpha: float = CANTOR_TIME_ALPHA) ->
         raise ValueError("T must be positive")
     if level < 0:
         raise ValueError("level must be non-negative")
+    _check_level(level, 2)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     intervals = _cantor_intervals(T, level)

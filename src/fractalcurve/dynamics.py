@@ -89,10 +89,9 @@ class PhysicalConstants:
 
 @dataclass(eq=False)
 class WaveFunction:
-    """Complex field on a curve together with its charts and staircase time."""
+    """Complex field on a curve together with its space chart and staircase time tau."""
 
     field: FieldOnCurve
-    time_chart: Staircase | None = None
     tau: float = 0.0
     constants: PhysicalConstants = dataclass_field(default_factory=PhysicalConstants)
 
@@ -115,7 +114,6 @@ class WaveFunction:
     def with_values(self, values, tau: float | None = None) -> "WaveFunction":
         return WaveFunction(
             field=self.field.with_values(np.asarray(values, dtype=complex)),
-            time_chart=self.time_chart,
             tau=self.tau if tau is None else tau,
             constants=self.constants,
         )
@@ -129,12 +127,6 @@ class WaveFunction:
         if not 0 < n2 < math.inf:
             raise ValueError(f"cannot normalize a state of squared norm {n2}")
         return self.with_values(self.values / math.sqrt(n2))
-
-    def wall_time(self) -> float:
-        """Physical time on the temporal support for the current staircase time."""
-        if self.time_chart is None:
-            return self.tau
-        return float(self.time_chart.inverse(self.tau))
 
 
 @dataclass(eq=False)
@@ -160,38 +152,40 @@ class PotentialOnCurve:
         return self.time_dependence is None
 
 
-def _kinetic_energy(k: float, constants: PhysicalConstants) -> float:
-    """(hbar k)^2 / (2 m), or inf where the square leaves the float range."""
-    try:
-        return (constants.hbar * k) ** 2 / (2.0 * constants.mass)
-    except OverflowError:  # a Python float square raises; a numpy one only warns
-        return math.inf
-
-
 @dataclass(frozen=True)
 class PlaneWaveParams:
-    """Amplitudes and dispersion data of the analytic plane-wave solution.
+    """Amplitudes A, B and wavenumber k of the analytic plane-wave solution.
 
-    Construction raises ``ValueError`` unless k, E and beta are finite.
+    k fixes the energy E = (hbar k)^2 / (2 m) and the phase rate
+    beta = E / hbar.  Construction raises ``ValueError`` unless k and E
+    are finite.
     """
 
     A: complex
     B: complex
     k: float
-    beta: float
-    E: float
+    constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self):
-        # NaN fails every comparison, so validate's tolerance checks pass it
-        if not all(map(math.isfinite, (self.k, self.beta, self.E))):
-            raise ValueError("plane-wave k, E and beta must be finite")
+        if not (math.isfinite(self.k) and math.isfinite(self.E)):
+            raise ValueError("plane-wave k and E must be finite")
+
+    @property
+    def E(self) -> float:
+        """(hbar k)^2 / (2 m), or inf where the square leaves the float range."""
+        try:  # a Python float square raises where a numpy one only warns
+            return (self.constants.hbar * float(self.k)) ** 2 / (2.0 * self.constants.mass)
+        except OverflowError:
+            return math.inf
+
+    @property
+    def beta(self) -> float:
+        return self.E / self.constants.hbar
 
     @classmethod
     def from_wavenumber(cls, k: float, A=1.0, B=0.0,
                         constants: PhysicalConstants = PhysicalConstants()):
-        k = float(k)
-        E = _kinetic_energy(k, constants)
-        return cls(A=complex(A), B=complex(B), k=k, beta=E / constants.hbar, E=E)
+        return cls(A=complex(A), B=complex(B), k=float(k), constants=constants)
 
     @classmethod
     def from_energy(cls, E: float, A=1.0, B=0.0,
@@ -200,14 +194,7 @@ class PlaneWaveParams:
         if E < 0:
             raise ValueError("plane-wave energy must be non-negative")
         k = math.sqrt(2.0 * constants.mass * E) / constants.hbar
-        return cls(A=complex(A), B=complex(B), k=k, beta=E / constants.hbar, E=E)
-
-    def validate(self, constants: PhysicalConstants):
-        E_k = _kinetic_energy(self.k, constants)
-        if abs(E_k - self.E) > 1e-9 * max(1.0, abs(self.E)):
-            raise ValueError("k and E violate k = sqrt(2 m E) / hbar")
-        if abs(self.beta - self.E / constants.hbar) > 1e-9 * max(1.0, abs(self.beta)):
-            raise ValueError("beta and E violate beta = E / hbar")
+        return cls(A=complex(A), B=complex(B), k=k, constants=constants)
 
 
 @dataclass(eq=False)
@@ -655,28 +642,25 @@ def hamiltonian_apply(psi: WaveFunction, potential: PotentialOnCurve | None = No
     return psi.with_values(out)
 
 
-def momentum_apply(psi: WaveFunction, grid: CurveGrid | None = None) -> VectorFieldOnCurve:
+def momentum_apply(psi: WaveFunction) -> VectorFieldOnCurve:
     """Momentum operator -i hbar grad applied to psi."""
-    grad = gradient(psi.field, grid)
+    grad = gradient(psi.field)
     scaled = -1j * psi.constants.hbar * grad.values
     return VectorFieldOnCurve.from_array(grad.grid, scaled, grad.chart)
 
 
 def plane_wave(params: PlaneWaveParams, grid: CurveGrid, space_chart: Staircase,
-               time_chart: Staircase | None = None, tau: float = 0.0,
-               constants: PhysicalConstants = PhysicalConstants()) -> WaveFunction:
+               tau: float = 0.0) -> WaveFunction:
     """Analytic solution (A e^{ikS} + B e^{-ikS}) e^{-i beta tau} sampled at the nodes."""
-    params.validate(constants)
     s = space_chart.values
     values = (params.A * np.exp(1j * params.k * s)
               + params.B * np.exp(-1j * params.k * s)) * cmath.exp(-1j * params.beta * tau)
     field = FieldOnCurve(grid, values, space_chart)
-    return WaveFunction(field=field, time_chart=time_chart, tau=tau, constants=constants)
+    return WaveFunction(field=field, tau=tau, constants=params.constants)
 
 
 def gaussian_packet(grid: CurveGrid, space_chart: Staircase, center: float, sigma: float,
-                    k0: float = 0.0, time_chart: Staircase | None = None,
-                    constants: PhysicalConstants = PhysicalConstants(),
+                    k0: float = 0.0, constants: PhysicalConstants = PhysicalConstants(),
                     periodic: bool = False) -> WaveFunction:
     """Normalized Gaussian wave packet exp(-(S-center)^2/(4 sigma^2)) exp(i k0 S).
 
@@ -695,25 +679,28 @@ def gaussian_packet(grid: CurveGrid, space_chart: Staircase, center: float, sigm
         for j in ((-1, 0, 1) if periodic else (0,)):
             envelope += np.exp(-((s - center + j * (s[-1] - s[0])) ** 2) / width)
     values = envelope * np.exp(1j * k0 * s)
-    return WaveFunction(FieldOnCurve(grid, values, space_chart), time_chart=time_chart,
+    return WaveFunction(FieldOnCurve(grid, values, space_chart),
                         constants=constants).normalized()
 
 
 def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
                             potential: PotentialOnCurve,
                             constants: PhysicalConstants = PhysicalConstants(),
-                            time_chart: Staircase | None = None,
                             xi_points=None) -> WaveFunction:
     """Ground state of the discrete Dirichlet Hamiltonian that the evolver steps with.
 
-    Both take H from one builder, so the state is an exact eigenvector of
-    the Crank-Nicolson operator and its modulus is stationary under
-    :func:`evolve` up to linear-solve roundoff.
+    Both take H from one builder, so the state is an eigenvector of the
+    Crank-Nicolson operator up to the eigensolver's residual.  Each step
+    turns that residual's components in the low modes by their own phase
+    rates, so |psi| drifts by a roundoff that grows with the step count
+    and the dispersion number r: within r * steps * eps (measured 0.002 to
+    0.53 of it over 100 steps at Koch levels 6-9), while the total
+    probability drifts by only about 1e-13 at level 9.
     """
     from scipy.linalg import eigh_tridiagonal
 
     zero = WaveFunction(FieldOnCurve.constant(grid, space_chart, 0.0 + 0.0j),
-                        time_chart=time_chart, constants=constants)
+                        constants=constants)
     conj, on_node_grid, dof, v, off = _xi_hamiltonian(zero, potential, False, xi_points)
     diag = (-2.0 * off + v)[dof]
     vals, vecs = eigh_tridiagonal(diag, np.full(len(diag) - 1, off),

@@ -402,7 +402,11 @@ _KOCH3 = {"curve": {"kind": "koch", "level": 3}}
      "k_periods"),
     ("continuity", {**_KOCH3, "run": {**_RUN, "potential": {"kind": "harmonic",
                                                             "omega": 1e200}}}, "omega"),
-], ids=["staircase-time_set", "dimension-levels", "derive-k_periods", "continuity-omega"])
+    # a curve in R^3 has dimension at most 3 (Gamma(alpha + 1) overflows past ~170)
+    ("derive", {**_KOCH3, "alpha_space": 1e300, "field": {"kind": "constant"}},
+     "alpha_space"),
+], ids=["staircase-time_set", "dimension-levels", "derive-k_periods", "continuity-omega",
+        "derive-alpha_space"])
 def test_config_faults_exit_2_before_any_build(tmp_path, capsys, monkeypatch, command, cfg,
                                                key):
     out = tmp_path / "o"

@@ -59,11 +59,15 @@ def test_koch_reproducible_bit_for_bit():
 
 
 def test_level_cap():
-    with pytest.raises(ResourceLimitError):
-        fc.build_koch(11)
-    with pytest.raises(ResourceLimitError):
-        fc.build_koch(4, max_level=3)
-    assert fc.build_koch(3, max_level=3).node_count == 65
+    # one budget of 4^10 segments; no grid is built at the cap (Koch L10 takes ~1 s)
+    assert fc.level_cap(4) == 10 and fc.level_cap(2) == 20 and fc.level_cap(5) == 8
+    for build in (lambda: fc.build_koch(11),
+                  lambda: fc.build_koch(10000),  # the check never forms 4^10000
+                  lambda: fc.build_cantor_dust(21),
+                  lambda: fc.build_cantor_time(1.0, 21),
+                  lambda: fc.build_line((0, 0, 0), (1, 0, 0), 4 ** 10 + 1)):
+        with pytest.raises(ResourceLimitError):
+            build()
 
 
 def test_grid_arrays_frozen():

@@ -33,12 +33,11 @@ def test_plane_wave_params():
     assert p.beta == pytest.approx(4.5)
     q = fc.PlaneWaveParams.from_energy(p.E)
     assert q.k == pytest.approx(3.0)
-    bad = fc.PlaneWaveParams(A=1.0, B=0.0, k=3.0, beta=1.0, E=4.5)
-    with pytest.raises(ValueError):
-        bad.validate(CONST)
-    huge_k = fc.PlaneWaveParams(A=1.0, B=0.0, k=1e200, beta=1.0, E=1.0)
-    with pytest.raises(ValueError):
-        huge_k.validate(CONST)
+    # k alone fixes E = (hbar k)^2 / (2 m) and beta = E / hbar
+    heavy = fc.PhysicalConstants(hbar=0.5, mass=2.0)
+    h = fc.PlaneWaveParams(A=1.0, B=0.0, k=3.0, constants=heavy)
+    assert h.E == pytest.approx(0.5625) and h.beta == pytest.approx(1.125)
+    assert fc.PlaneWaveParams.from_energy(h.E, constants=heavy).k == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("make", [
@@ -47,11 +46,11 @@ def test_plane_wave_params():
     lambda: fc.PlaneWaveParams.from_wavenumber(math.inf),
     lambda: fc.PlaneWaveParams.from_energy(math.nan),
     lambda: fc.PlaneWaveParams.from_energy(np.float64(1e308)),
-    lambda: fc.PlaneWaveParams(A=1.0, B=0.0, k=math.nan, beta=0.5, E=0.5),
+    lambda: fc.PlaneWaveParams(A=1.0, B=0.0, k=math.nan),
 ], ids=["k-float", "k-float64", "k-inf", "E-nan", "E-float64-huge", "k-nan"])
 def test_plane_wave_params_reject_non_finite_values(make):
     # an overflowing square raises OverflowError on a Python float and only
-    # warns on a numpy one; NaN passes every tolerance comparison
+    # warns on a numpy one; NaN fails every comparison
     with pytest.raises(ValueError, match="finite"):
         make()
 
@@ -61,8 +60,7 @@ def test_plane_wave_modulus_and_zero(koch5):
     p = fc.PlaneWaveParams.from_wavenumber(2.0 * math.pi / chart.total)
     psi = fc.plane_wave(p, grid, chart)
     np.testing.assert_allclose(np.abs(psi.values), 1.0, atol=1e-14)
-    zero = fc.plane_wave(fc.PlaneWaveParams(A=0.0, B=0.0, k=1.0, beta=0.5, E=0.5),
-                         grid, chart)
+    zero = fc.plane_wave(fc.PlaneWaveParams(A=0.0, B=0.0, k=1.0), grid, chart)
     assert np.max(np.abs(zero.values)) == 0.0
 
 
@@ -384,6 +382,26 @@ def test_harmonic_ground_state_is_stationary():
     ev.step(int(round(2.0 * math.pi / omega / d_tau)) - 1)
     drift = np.max(np.abs(np.abs(ev.snapshot().values) - np.abs(gs.values)))
     assert drift <= 1e-6
+    # the modulus drifts through the eigenvector's residual, whose low modes
+    # dephase step by step; over 100 steps (every 10th checked, as in the
+    # benchmark's continuity-l9) it stays within r N eps, the benchmark's
+    # bound (measured 0.06-0.53 of it at Koch L6-L7)
+    eps = np.finfo(float).eps
+    for level in (6, 7):
+        grid = fc.build_koch(level)
+        chart = fc.build_staircase(grid, KOCH_DIM)
+        center = 0.5 * (chart.values[0] + chart.values[-1])
+        for omega in (60.0, 120.0, 200.0):
+            potential = fc.PotentialOnCurve(fc.FieldOnCurve.from_chart_function(
+                grid, chart, lambda s: 0.5 * CONST.mass * omega ** 2 * (s - center) ** 2))
+            gs = fc.stationary_ground_state(grid, chart, potential)
+            ev = fc.CrankNicolsonEvolver(gs, potential, d_tau=1e-4, boundary="dirichlet")
+            r = CONST.hbar * ev.d_tau / (2.0 * CONST.mass * ev.dxi ** 2)
+            drift = 0.0
+            for _ in range(10):
+                ev.step(10)
+                drift = max(drift, np.max(np.abs(np.abs(ev.snapshot().values) - np.abs(gs.values))))
+            assert drift <= r * 100 * eps, (level, omega, drift / (r * 100 * eps))
 
 
 def test_hamiltonian_plane_wave_eigenvalue(koch5):
@@ -652,10 +670,9 @@ def test_residual_alignment_guard(residual):
 def test_wall_time_from_cantor_chart(koch5):
     grid, chart = koch5
     ts = fc.build_cantor_time(1.0, 6)
-    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j),
-                          time_chart=ts.time_staircase)
+    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j))
     out = fc.evolve(psi, None, d_tau=1e-3, steps=50, boundary="periodic")
-    t = out.wall_time()
+    t = ts.t_of(out.tau)
     # the inverse staircase lands on the temporal support
     assert ts.chi(t) == 1.0
     np.testing.assert_allclose(ts.tau_of(t), out.tau, rtol=1e-12)
