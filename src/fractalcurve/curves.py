@@ -119,7 +119,7 @@ class CurveGrid:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Contraction w -> scale * rotation @ w + translation."""
+    """Contraction w -> scale * rotation @ w + translation, rotation 3x3 orthogonal."""
 
     scale: float
     rotation: np.ndarray
@@ -130,6 +130,10 @@ class AffineMap:
         object.__setattr__(self, "translation", _freeze(np.asarray(self.translation, dtype=float)))
         if not 0.0 < self.scale < 1.0:
             raise DegenerateCurveError("generator scale factors must lie in (0, 1)")
+        # scale is the contraction ratio only if rotation preserves lengths
+        r = self.rotation
+        if r.shape != (3, 3) or not np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-12:
+            raise DegenerateCurveError("generator rotations must be 3x3 orthogonal matrices")
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return pts @ (self.scale * self.rotation).T + self.translation

@@ -25,14 +25,14 @@ complex damping eps -> eps (1 - i eta) and extrapolated in eta.
 from __future__ import annotations
 
 import cmath
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-
-# scipy.linalg is imported where it is used: loading it takes about 0.35 s,
-# which commands that never solve (dimension, staircase, derive,
-# integrate) should not pay
 
 from .calculus import (
     FieldOnCurve,
@@ -341,6 +341,35 @@ def _xi_hamiltonian(psi: WaveFunction, potential: PotentialOnCurve | None,
     return conj, on_node_grid, dof, v, -hbar ** 2 / (2.0 * m * conj.dxi ** 2)
 
 
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded from its file.
+
+    The solves need four of its routines (``zgttrf``, ``zgttrs``,
+    ``dstebz``, ``dstein``).  Loading the extension on first solve takes a
+    few ms; importing the ``scipy.linalg`` package around it would cost
+    about 0.3 s and 20 MB, so the parent packages are never imported (nor
+    found through ``importlib.util.find_spec``, which imports them).  The
+    module is private to scipy: tests pin its contract against
+    ``scipy.linalg.lapack``.
+    """
+    top = importlib.util.find_spec("scipy")
+    spec = None if top is None else importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack",
+        [os.path.join(d, "linalg") for d in top.submodule_search_locations])
+    if spec is None:
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            installed = version("scipy")
+        except PackageNotFoundError:
+            installed = "(not installed)"
+        raise SolverError(f"scipy {installed} has no LAPACK extension scipy.linalg._flapack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class CrankNicolsonEvolver:
     """Stateful Crank-Nicolson integrator in conjugate coordinates.
 
@@ -388,8 +417,7 @@ class CrankNicolsonEvolver:
         and last diagonal entries (T[0, 0] = 2 A[0, 0] suffers no
         cancellation); z = T^-1 u is solved here once.
         """
-        from scipy.linalg.lapack import zgttrf, zgttrs
-
+        lapack = _lapack()
         periodic = self.boundary == "periodic"
         diag = (-2.0 * self._off + self._v_at(tau))[self._dof]
         n = len(diag)
@@ -399,15 +427,17 @@ class CrankNicolsonEvolver:
             g = -a_diag[0]
             a_diag[0] -= g
             a_diag[-1] -= c * c / g
-        *lu, info = zgttrf(np.full(n - 1, c), a_diag, np.full(n - 1, c),
-                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        *lu, info = lapack.zgttrf(np.full(n - 1, c), a_diag, np.full(n - 1, c),
+                                  overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:
             raise SolverError(f"Crank-Nicolson factorization failed (LAPACK info {info})")
         self._lu = lu
         if periodic:
             u = np.zeros(n, dtype=complex)
             u[0], u[-1] = g, c
-            z, _ = zgttrs(*lu, u, overwrite_b=1)
+            z, info = lapack.zgttrs(*lu, u, overwrite_b=1)
+            if info != 0:
+                raise SolverError(f"Crank-Nicolson solve failed (LAPACK info {info})")
             self._v_last = c / g
             self._z = z / (1.0 + z[0] + self._v_last * z[-1])
 
@@ -420,15 +450,16 @@ class CrankNicolsonEvolver:
         """
         if n < 0:
             raise ValueError("steps must be non-negative")
-        from scipy.linalg.lapack import zgttrs
-
+        zgttrs = _lapack().zgttrs
         static = self.potential is None or self.potential.is_static
         periodic = self.boundary == "periodic"
         for _ in range(n):
             if not static:
                 self._assemble(self.tau)
             th = self.theta[self._dof]
-            x, _ = zgttrs(*self._lu, th)
+            x, info = zgttrs(*self._lu, th)
+            if info != 0:
+                raise SolverError(f"Crank-Nicolson solve failed (LAPACK info {info})")
             if periodic:
                 x -= self._z * (x[0] + self._v_last * x[-1])
             x *= 2.0
@@ -697,14 +728,19 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
     0.53 of it over 100 steps at Koch levels 6-9), while the total
     probability drifts by only about 1e-13 at level 9.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     zero = WaveFunction(FieldOnCurve.constant(grid, space_chart, 0.0 + 0.0j),
                         constants=constants)
     conj, on_node_grid, dof, v, off = _xi_hamiltonian(zero, potential, False, xi_points)
     diag = (-2.0 * off + v)[dof]
-    vals, vecs = eigh_tridiagonal(diag, np.full(len(diag) - 1, off),
-                                  select="i", select_range=(0, 0))
+    band = np.full(len(diag) - 1, off)
+    # what eigh_tridiagonal(select="i", select_range=(0, 0)) runs: bisection
+    # for the lowest eigenvalue, then inverse iteration for its vector
+    lapack = _lapack()
+    m, w, iblock, isplit, info = lapack.dstebz(diag, band, 2, 0.0, 0.0, 1, 1, 0.0, "B")
+    if info == 0:
+        vecs, info = lapack.dstein(diag, band, w[:m], iblock, isplit)
+    if info != 0:
+        raise SolverError(f"ground-state eigensolver failed (LAPACK info {info})")
     theta = np.zeros(len(conj.xi), dtype=complex)
     theta[dof] = vecs[:, 0]
     psi = _unmap(ConjugateField(conj.xi, theta), zero, 0.0, on_node_grid)

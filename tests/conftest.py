@@ -1,9 +1,11 @@
+import importlib.machinery
 import math
 
 import numpy as np
 import pytest
 
 import fractalcurve as fc
+from fractalcurve import dynamics
 
 # closed-form similarity dimensions, used as independent oracles
 KOCH_DIM = math.log(4.0) / math.log(3.0)
@@ -32,3 +34,17 @@ def koch5():
 def unit_line():
     grid = fc.build_line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 256, level=8)
     return grid, fc.build_staircase(grid, 1.0)
+
+
+@pytest.fixture
+def no_flapack(monkeypatch):
+    """scipy's LAPACK extension cannot be found while the test runs."""
+    real = importlib.machinery.PathFinder.find_spec
+
+    def find_spec(fullname, path=None, target=None):
+        return None if fullname == "scipy.linalg._flapack" else real(fullname, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", find_spec)
+    dynamics._lapack.cache_clear()
+    yield
+    dynamics._lapack.cache_clear()

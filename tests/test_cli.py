@@ -1,4 +1,5 @@
 import contextlib
+import importlib.metadata
 import json
 import math
 import os
@@ -430,6 +431,17 @@ def test_dust_p0_lies_in_zero_to_T(tmp_path):
     assert stair["S"][0] < 0 < stair["S"][-1]
 
 
+def run_python(script):
+    """stdout of ``script`` run in a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_commands_without_time_stepping_do_not_load_scipy_linalg(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {
         "curve": {"kind": "koch"},
@@ -440,13 +452,45 @@ def test_commands_without_time_stepping_do_not_load_scipy_linalg(tmp_path):
               "import fractalcurve.cli as cli\n"
               f"assert cli.main(['dimension', {str(cfg)!r}]) == 0\n"
               "print('scipy.linalg' in sys.modules)\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert run_python(script) == "False"
+
+
+def test_solving_commands_do_not_load_scipy_linalg(tmp_path):
+    # the solves load only scipy's LAPACK extension, and a later import of
+    # scipy.linalg in the same process takes that module over and still works
+    evolve = write_cfg(tmp_path / "evolve.json", {
+        **_KOCH3, "run": {**_RUN, "boundary": "periodic"}, "output": str(tmp_path / "e")})
+    continuity = write_cfg(tmp_path / "continuity.json", {
+        **_KOCH3, "run": {"d_tau": 1e-3, "steps": 4, "snapshot_stride": 2,
+                          "initial": {"kind": "harmonic_ground"},
+                          "potential": {"kind": "harmonic"}},
+        "output": str(tmp_path / "c")})
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "import fractalcurve.cli as cli\n"
+              f"assert cli.main(['evolve', {str(evolve)!r}]) == 0\n"
+              f"assert cli.main(['continuity', {str(continuity)!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+              "import scipy.linalg\n"
+              "from fractalcurve.dynamics import _lapack\n"
+              "band = np.full(7, -1.0 + 0.5j)\n"
+              "for lapack in (scipy.linalg.lapack, _lapack()):\n"
+              "    *_, info = lapack.zgttrf(band, np.full(8, 4.0 + 0j), band)\n"
+              "    print(info)\n"
+              "w = scipy.linalg.eigh_tridiagonal(np.full(8, 2.0), np.full(7, -1.0),\n"
+              "                                  eigvals_only=True, select='i',\n"
+              "                                  select_range=(0, 0))\n"
+              "print(abs(w[0] - 2.0 + 2.0 * np.cos(np.pi / 9.0)) < 1e-14)\n")
+    assert run_python(script).splitlines() == [
+        "['scipy.linalg._flapack']", "0", "0", "True"]
+
+
+def test_missing_lapack_extension_is_a_numerical_failure(tmp_path, no_flapack):
+    cfg = write_cfg(tmp_path / "cfg.json", {**_KOCH3, "run": _RUN, "output": str(tmp_path / "o")})
+    assert run_cli(["evolve", cfg]) == 1
+    diag = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert diag["error"] == "SolverError"
+    assert f"scipy {importlib.metadata.version('scipy')} " in diag["message"]
 
 
 @pytest.mark.parametrize("run", [

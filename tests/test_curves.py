@@ -109,6 +109,22 @@ def test_generator_validation():
         fc.GeneratorSpec(bad)
 
 
+def test_generator_rotation_must_be_orthogonal():
+    # scale is the contraction ratio only for a length-preserving rotation:
+    # a stretch would pass every chain check and build a non-contracting map
+    with pytest.raises(DegenerateCurveError, match="orthogonal"):
+        fc.AffineMap(0.5, np.diag([2.0, 1.0, 1.0]), np.zeros(3))
+    with pytest.raises(DegenerateCurveError, match="orthogonal"):
+        fc.GeneratorSpec((
+            fc.AffineMap(0.5, np.diag([1.2, 1.0, 1.0]), np.zeros(3)),
+            fc.AffineMap(0.5, np.diag([0.8, 1.0, 1.0]), np.array([0.6, 0.0, 0.0])),
+        ))
+    with pytest.raises(DegenerateCurveError, match="orthogonal"):
+        fc.AffineMap(0.5, np.eye(2), np.zeros(3))
+    # the Koch rotations by +-60 degrees are orthogonal to roundoff
+    assert fc.build_koch(2).node_count == 17
+
+
 def test_generator_with_unequal_scales():
     eye = np.eye(3)
     gen = fc.GeneratorSpec((

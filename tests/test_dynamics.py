@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 import tracemalloc
+from importlib.metadata import version
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from fractalcurve.errors import (
     SolverError,
 )
 
-from conftest import KOCH_DIM, fit_slope
+from conftest import KOCH_DIM, fit_slope, wrapped_gaussian
 
 CONST = fc.PhysicalConstants()
 
@@ -247,6 +249,70 @@ def test_crank_nicolson_step_matches_dense_oracle(boundary, n):
             expect = np.linalg.solve(a, b @ ev.theta[dof])
             ev.step()
             assert np.linalg.norm(ev.theta[dof] - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _centered_harmonic(grid, chart, omega=60.0):
+    center = 0.5 * (chart.values[0] + chart.values[-1])
+    return fc.PotentialOnCurve(fc.FieldOnCurve.from_chart_function(
+        grid, chart, lambda s: 0.5 * CONST.mass * omega ** 2 * (s - center) ** 2))
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_flapack_solves_match_scipy_linalg_lapack(koch5, monkeypatch, boundary):
+    # scipy.linalg._flapack is private to scipy, so its routines must factor
+    # and solve exactly as the public scipy.linalg.lapack does, on the
+    # operator A = I + i lam H of a step, and the evolver must step alike
+    # with either module
+    from scipy.linalg import lapack as public
+
+    grid, chart = koch5
+    psi, potential = wrapped_gaussian(grid, chart), _centered_harmonic(grid, chart)
+    _, _, dof, v, off = dynamics._xi_hamiltonian(psi, potential, boundary == "periodic", None)
+    lam = 0.5e-3 / CONST.hbar
+    a_diag = 1.0 + 1j * lam * (-2.0 * off + v)[dof]
+    band = np.full(len(a_diag) - 1, 1j * lam * off)
+    rhs = np.random.default_rng(3).normal(size=(len(a_diag), 2)) @ [1.0, 1j]
+    private = dynamics._lapack()
+    lu, lu_ref = private.zgttrf(band, a_diag, band), public.zgttrf(band, a_diag, band)
+    assert lu[-1] == lu_ref[-1] == 0
+    assert all(_same_bits(a, b) for a, b in zip(lu[:-1], lu_ref[:-1]))
+    x, x_ref = private.zgttrs(*lu[:-1], rhs), public.zgttrs(*lu_ref[:-1], rhs)
+    assert x[1] == x_ref[1] == 0 and _same_bits(x[0], x_ref[0])
+    ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-3, boundary=boundary).step(5)
+    monkeypatch.setattr(dynamics, "_lapack", lambda: public)
+    ev_ref = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-3, boundary=boundary).step(5)
+    assert _same_bits(ev.theta, ev_ref.theta)
+
+
+def test_ground_state_is_eigh_tridiagonal_of_the_same_h(koch5):
+    # dstebz then dstein is what eigh_tridiagonal(select="i") runs, so the
+    # ground state is bit for bit its lowest eigenvector of the same H
+    from scipy.linalg import eigh_tridiagonal
+
+    grid, chart = koch5
+    potential = _centered_harmonic(grid, chart)
+    gs = fc.stationary_ground_state(grid, chart, potential)
+    zero = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 0j))
+    _, on_node_grid, dof, v, off = dynamics._xi_hamiltonian(zero, potential, False, None)
+    assert on_node_grid
+    diag = (-2.0 * off + v)[dof]
+    _, vecs = eigh_tridiagonal(diag, np.full(len(diag) - 1, off),
+                               select="i", select_range=(0, 0))
+    theta = np.zeros(grid.node_count, dtype=complex)
+    theta[dof] = vecs[:, 0]
+    expect = fc.WaveFunction(fc.FieldOnCurve(grid, theta, chart)).normalized()
+    assert _same_bits(gs.values, expect.values)
+
+
+def test_missing_lapack_extension_names_the_scipy_version(no_flapack):
+    # no fallback to scipy.linalg: a scipy without the extension is an error
+    with pytest.raises(SolverError, match=f"scipy {re.escape(version('scipy'))} "):
+        dynamics._lapack()
 
 
 def _free_cayley_exact(theta0, off, lam, steps, periodic):
