@@ -76,38 +76,18 @@ class FieldOnCurve:
 
 @dataclass(eq=False)
 class VectorFieldOnCurve:
-    """Three aligned scalar components of an R^3 vector field on one grid."""
+    """R^3 vector samples at the nodes of a curve grid: ``values[i]`` at node i."""
 
-    components: tuple[FieldOnCurve, FieldOnCurve, FieldOnCurve]
+    grid: CurveGrid
+    values: np.ndarray
+    chart: Staircase
 
     def __post_init__(self):
-        self.components = tuple(self.components)
-        if len(self.components) != 3:
-            raise AlignmentError("a vector field needs exactly 3 components")
-        g0 = self.components[0].grid
-        c0 = self.components[0].chart
-        for c in self.components[1:]:
-            if c.grid is not g0 or c.chart is not c0:
-                raise AlignmentError("vector components must share one grid and chart")
-
-    @classmethod
-    def from_array(cls, grid: CurveGrid, values: np.ndarray, chart: Staircase):
-        values = np.asarray(values)
-        if values.shape != (grid.node_count, 3):
-            raise AlignmentError("expected an (n, 3) component array")
-        return cls(tuple(FieldOnCurve(grid, values[:, i], chart) for i in range(3)))
-
-    @property
-    def grid(self) -> CurveGrid:
-        return self.components[0].grid
-
-    @property
-    def chart(self) -> Staircase:
-        return self.components[0].chart
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.stack([c.values for c in self.components], axis=1)
+        self.values = np.asarray(self.values)
+        if self.values.shape != (self.grid.node_count, 3):
+            raise AlignmentError("one R^3 vector per grid node is required")
+        if not _same_knots(self.chart.params, self.grid.params):
+            raise AlignmentError("chart knots must align with the grid nodes")
 
 
 def finite_difference_weights(x: np.ndarray, x0: float, order: int) -> np.ndarray:
@@ -200,7 +180,7 @@ def falpha_integral(f: FieldOnCurve, a: float | None = None, b: float | None = N
 def gradient(f: FieldOnCurve) -> VectorFieldOnCurve:
     """(df/dS) times the unit chord tangent at each node."""
     df = falpha_derivative(f).values
-    return VectorFieldOnCurve.from_array(f.grid, df[:, None] * f.grid.unit_tangents(), f.chart)
+    return VectorFieldOnCurve(f.grid, df[:, None] * f.grid.unit_tangents(), f.chart)
 
 
 def divergence(vf: VectorFieldOnCurve, form: str = "tangential") -> FieldOnCurve:
@@ -219,7 +199,8 @@ def divergence(vf: VectorFieldOnCurve, form: str = "tangential") -> FieldOnCurve
         tang = FieldOnCurve(vf.grid, np.sum(vf.values * t, axis=1), vf.chart)
         return falpha_derivative(tang)
     if form == "componentwise":
-        parts = [falpha_derivative(c).values * t[:, i] for i, c in enumerate(vf.components)]
+        parts = [falpha_derivative(FieldOnCurve(vf.grid, vf.values[:, i], vf.chart)).values
+                 * t[:, i] for i in range(3)]
         return FieldOnCurve(vf.grid, parts[0] + parts[1] + parts[2], vf.chart)
     raise ValueError(f"unknown divergence form {form!r}")
 

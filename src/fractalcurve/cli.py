@@ -4,10 +4,11 @@ One JSON config file describes an experiment; the subcommand selects
 what to compute.  A command first calls one reader per config section,
 which checks every key of it and returns a builder of what it describes,
 and only then builds: a config error comes before any build (but for the
-keys the chart's span bounds) and before any file is written.  All
-numeric output goes through :mod:`.io` at 17 significant digits with no
-timestamps, so identical configs produce byte-identical artifacts.  Exit
-codes: 0 success, 1 numerical failure, 2 config or usage error.
+keys the chart's span or the grid's nodes bound) and before any file is
+written.  All numeric output goes through :mod:`.io` at 17 significant
+digits with no timestamps, so identical configs produce byte-identical
+artifacts.  Exit codes: 0 success, 1 numerical failure, 2 config or usage
+error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .calculus import FieldOnCurve, falpha_derivative, falpha_integral
+from .calculus import FieldOnCurve, _node_index, falpha_derivative, falpha_integral
 from .curves import (MAX_SEGMENTS, build_cantor_dust, build_cantor_time, build_koch,
                      build_line, level_cap)
 from .dynamics import (
@@ -39,7 +40,7 @@ from .dynamics import (
     plane_wave,
     stationary_ground_state,
 )
-from .errors import FractalCurveError
+from .errors import AlignmentError, FractalCurveError
 from .flow import continuity_residual, total_probability
 from .measure import build_staircase, estimate_gamma_dimension, gamma_premeasure
 
@@ -395,7 +396,14 @@ def cmd_integrate(cfg, out_dir: Path) -> int:
     rng = _section(cfg, "integrate", {})
     a = _number(rng, "a")
     b = _number(rng, "b")
+    _require(a is None or b is None or a <= b, "integrate bounds must satisfy a <= b")
     grid, alpha, chart = field_context()
+    for key, p in (("a", a), ("b", b)):
+        try:
+            if p is not None:
+                _node_index(grid, p)
+        except AlignmentError as exc:
+            raise ConfigError(f"integrate {key}: {exc}")
     value = falpha_integral(field(grid, chart), a=a, b=b)
     report = {
         "value_re": float(np.real(value)),

@@ -253,7 +253,7 @@ def build_cantor_dust(level: int, T: float = 1.0) -> CurveGrid:
 
     Parameters are the left endpoints of the kept intervals (plus the final
     right endpoint) in the original [0, T]; positions advance only by kept
-    length, so subdivision chords never straddle a removed gap.  This makes
+    length, so the grid's chords never straddle a removed gap.  This makes
     the grid's chord structure exactly self-similar: 2^level chords of
     length T * 3^-level, level <= 20.
     """
@@ -313,11 +313,11 @@ class TimeSet:
 CANTOR_TIME_ALPHA = math.log(2.0) / math.log(3.0)
 
 
-def build_cantor_time(T: float, level: int, alpha: float = CANTOR_TIME_ALPHA) -> TimeSet:
+def build_cantor_time(T: float, level: int) -> TimeSet:
     """Middle-thirds removal iterated ``level`` (at most 20) times on [0, T].
 
     Returns the set together with its devil's-staircase chart of exponent
-    ``alpha`` (default log2/log3, the set's similarity dimension).
+    ``CANTOR_TIME_ALPHA`` = log2/log3, the set's similarity dimension.
     """
     from .measure import Staircase
 
@@ -326,8 +326,7 @@ def build_cantor_time(T: float, level: int, alpha: float = CANTOR_TIME_ALPHA) ->
     if level < 0:
         raise ValueError("level must be non-negative")
     _check_level(level, 2)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = CANTOR_TIME_ALPHA
     intervals = _cantor_intervals(T, level)
     count = len(intervals)
     total = count * (T * 3.0 ** (-level)) ** alpha / math.gamma(alpha + 1.0)

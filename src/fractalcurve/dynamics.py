@@ -29,6 +29,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 from dataclasses import dataclass, field as dataclass_field
 
@@ -141,6 +142,8 @@ class PotentialOnCurve:
             if np.any(self.field.values.imag != 0.0):
                 raise ValueError("potential must be real-valued")
             self.field = self.field.with_values(self.field.values.real)
+        if not np.all(np.isfinite(self.field.values)):
+            raise ValueError("potential values must be finite")
 
     def values_at(self, tau: float) -> np.ndarray:
         if self.time_dependence is None:
@@ -273,7 +276,7 @@ def _map_to_xi(psi: WaveFunction, num_points, periodic: bool):
     s = psi.space_chart.values
     if s[-1] - s[0] <= 0:
         raise ConjugacyError("the staircase chart is constant; no conjugate chart exists")
-    m = int(num_points) if num_points else len(s) - periodic
+    m = len(s) - periodic if num_points is None else operator.index(num_points)
     if m < 2:
         raise ConjugacyError("need at least 2 xi points")
     # a periodic grid stops one cell short of the seam, its wrap image
@@ -288,6 +291,9 @@ def _map_to_xi(psi: WaveFunction, num_points, periodic: bool):
 
 def conjugate_map(psi: WaveFunction, num_points=None, periodic: bool = False) -> ConjugateField:
     """Resample psi onto a uniform grid in xi = S(v).
+
+    ``num_points`` is the xi point count, an integer of at least 2; None
+    means the node count less the seam node.
 
     Periodic grids drop the seam node: the final curve node is the wrap
     image of the first.  When the chart increments are uniform to 1e-9 of
@@ -527,13 +533,9 @@ def kernel_step(psi: WaveFunction, step: KernelStep, xi_points=None) -> WaveFunc
     return _unmap(out, psi, psi.tau + step.epsilon, on_node_grid)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss_legendre(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 _MAX_PANELS = 2_000_000
@@ -676,8 +678,7 @@ def hamiltonian_apply(psi: WaveFunction, potential: PotentialOnCurve | None = No
 def momentum_apply(psi: WaveFunction) -> VectorFieldOnCurve:
     """Momentum operator -i hbar grad applied to psi."""
     grad = gradient(psi.field)
-    scaled = -1j * psi.constants.hbar * grad.values
-    return VectorFieldOnCurve.from_array(grad.grid, scaled, grad.chart)
+    return VectorFieldOnCurve(grad.grid, -1j * psi.constants.hbar * grad.values, grad.chart)
 
 
 def plane_wave(params: PlaneWaveParams, grid: CurveGrid, space_chart: Staircase,

@@ -11,12 +11,10 @@ import json
 
 import numpy as np
 
-from .curves import CurveGrid, TimeSet
+from .curves import TimeSet
 from .measure import Staircase
 
 __all__ = [
-    "write_curve_csv",
-    "read_curve_csv",
     "write_staircase_csv",
     "read_staircase_csv",
     "write_field_csv",
@@ -78,15 +76,6 @@ def _read_table(path, expected_header: str) -> dict:
     if data.shape[1] != len(names):
         raise ValueError(f"{data.shape[1]} columns under header {expected_header!r} in {path}")
     return {name: data[:, i] for i, name in enumerate(names)}
-
-
-def write_curve_csv(path, grid: CurveGrid) -> None:
-    _write_table(path, "v,x,y,z",
-                 (grid.params, grid.points[:, 0], grid.points[:, 1], grid.points[:, 2]))
-
-
-def read_curve_csv(path) -> dict:
-    return _read_table(path, "v,x,y,z")
 
 
 def write_staircase_csv(path, stair: Staircase) -> None:

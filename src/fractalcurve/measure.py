@@ -1,7 +1,7 @@
 """Pre-measure, dimension estimation, and staircase charts for curve grids.
 
 The exponent-``alpha`` pre-measure of a curve segment is the sum of
-``|chord|**alpha / Gamma(alpha+1)`` over a node subdivision; the curve's
+``|chord|**alpha / Gamma(alpha+1)`` over the grid's chords; the curve's
 dimension is the exponent at which the per-level pre-measure flips from
 growing without bound to collapsing to zero under refinement.  The signed
 cumulative pre-measure from a base point is the staircase function, which
@@ -104,27 +104,15 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be positive, got {alpha}")
 
 
-def gamma_premeasure(grid: CurveGrid, alpha: float, subdivision=None) -> PreMeasureResult:
+def gamma_premeasure(grid: CurveGrid, alpha: float) -> PreMeasureResult:
     """Pre-measure sum |w(v_{i+1}) - w(v_i)|**alpha / Gamma(alpha+1).
 
-    ``subdivision`` is an increasing list of node indices including the
-    first and last node; by default all nodes are used (the finest
-    available mesh, which realizes the fine-partition limit for
-    self-similar generator grids).
+    The sum runs over every node: the finest available mesh, which
+    realizes the fine-partition limit for self-similar generator grids.
     """
     _check_alpha(alpha)
-    if subdivision is None:
-        chords = grid.chord_lengths()
-        mesh = float(np.max(np.diff(grid.params)))
-    else:
-        sub = np.asarray(subdivision, dtype=int)
-        if sub[0] != 0 or sub[-1] != grid.node_count - 1:
-            raise ValueError("subdivision must include the first and last node")
-        if np.any(np.diff(sub) <= 0):
-            raise ValueError("subdivision indices must be strictly increasing")
-        pts = grid.points[sub]
-        chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        mesh = float(np.max(np.diff(grid.params[sub])))
+    chords = grid.chord_lengths()
+    mesh = float(np.max(np.diff(grid.params)))
     value = float(np.sum(chords ** alpha)) / math.gamma(alpha + 1.0)
     return PreMeasureResult(alpha=alpha, level=grid.level, value=value, mesh=mesh)
 

@@ -161,8 +161,8 @@ def test_alpha1_line_reduction():
     np.testing.assert_allclose(fc.laplacian(f).values, -np.sin(s), atol=20.0 * h ** 2)
     assert fc.falpha_integral(f) == pytest.approx(1.0 - math.cos(2.0), abs=1e-5)
     grad = fc.gradient(f)
-    np.testing.assert_allclose(grad.components[0].values, np.cos(s), atol=2.0 * h ** 2)
-    np.testing.assert_allclose(grad.components[1].values, 0.0, atol=1e-15)
+    np.testing.assert_allclose(grad.values[:, 0], np.cos(s), atol=2.0 * h ** 2)
+    np.testing.assert_allclose(grad.values[:, 1], 0.0, atol=1e-15)
 
 
 def test_gradient_constant_and_line():
@@ -187,14 +187,14 @@ def test_divergence_forms():
     # componentwise form annihilates constants on any curve
     grid = fc.build_koch(4)
     chart = fc.build_staircase(grid, KOCH_DIM)
-    const = fc.VectorFieldOnCurve.from_array(
+    const = fc.VectorFieldOnCurve(
         grid, np.tile([0.3, -1.2, 2.0], (grid.node_count, 1)), chart)
     assert np.max(np.abs(fc.divergence(const, form="componentwise").values)) == 0.0
 
     # on a line both forms agree with standard calculus
     line = fc.build_line((0, 0, 0), (1, 0, 0), 64)
     lchart = fc.build_staircase(line, 1.0)
-    vf = fc.VectorFieldOnCurve.from_array(
+    vf = fc.VectorFieldOnCurve(
         line, np.stack([lchart.values, np.zeros(65), np.zeros(65)], axis=1), lchart)
     for form in ("tangential", "componentwise"):
         np.testing.assert_allclose(fc.divergence(vf, form=form).values[1:-1], 1.0, atol=1e-12)
@@ -245,6 +245,13 @@ def test_field_alignment_validation():
     shifted = fc.Staircase(chart.alpha, 0.5 * chart.params, chart.values, chart.p0)
     with pytest.raises(AlignmentError):
         fc.FieldOnCurve(grid, np.zeros(n), shifted)
+    # a vector field takes the same two checks on its (n, 3) array
+    fc.VectorFieldOnCurve(grid, np.zeros((n, 3)), copied)
+    for bad in (np.zeros(n), np.zeros((n, 2)), np.zeros((3, n))):
+        with pytest.raises(AlignmentError):
+            fc.VectorFieldOnCurve(grid, bad, chart)
+    with pytest.raises(AlignmentError):
+        fc.VectorFieldOnCurve(grid, np.zeros((n, 3)), shifted)
 
 
 def test_taylor_order_zero_and_validation():

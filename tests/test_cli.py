@@ -35,9 +35,9 @@ def write_cfg(path, cfg):
 # what a command builds, as cli calls it; a config error comes before all of them
 _BUILDERS = ("build_koch", "build_line", "build_cantor_dust", "build_cantor_time",
              "build_staircase", "estimate_gamma_dimension", "CrankNicolsonEvolver")
-# keys whose range the chart's span decides: checked once the chart is built,
-# and still before the evolver
-_CHART_RELATIVE = ("k_periods", "k0_periods", "center_frac")
+# keys whose range the chart's span decides, and the integrate bounds, which must
+# be nodes of the grid: checked once the chart is built, and still before the evolver
+_CHART_RELATIVE = ("k_periods", "k0_periods", "center_frac", "integrate a", "integrate b")
 
 
 def count_builds(monkeypatch):
@@ -54,7 +54,7 @@ def count_builds(monkeypatch):
 
 def assert_built_nothing(calls, err):
     """A config error comes before any build, or before the evolver if it names
-    a key that the chart's span bounds."""
+    a key that the chart's span or the grid's nodes bound."""
     if any(key in err for key in _CHART_RELATIVE):
         assert "CrankNicolsonEvolver" not in calls
     else:
@@ -406,8 +406,13 @@ _KOCH3 = {"curve": {"kind": "koch", "level": 3}}
     # a curve in R^3 has dimension at most 3 (Gamma(alpha + 1) overflows past ~170)
     ("derive", {**_KOCH3, "alpha_space": 1e300, "field": {"kind": "constant"}},
      "alpha_space"),
+    # Koch L3 has its nodes at v = j / 64
+    ("integrate", {**_KOCH3, "field": {"kind": "constant"}, "integrate": {"a": 0.3}},
+     "integrate a"),
+    ("integrate", {**_KOCH3, "field": {"kind": "constant"},
+                   "integrate": {"a": 0.75, "b": 0.25}}, "a <= b"),
 ], ids=["staircase-time_set", "dimension-levels", "derive-k_periods", "continuity-omega",
-        "derive-alpha_space"])
+        "derive-alpha_space", "integrate-a_off_node", "integrate-a_above_b"])
 def test_config_faults_exit_2_before_any_build(tmp_path, capsys, monkeypatch, command, cfg,
                                                key):
     out = tmp_path / "o"
@@ -536,16 +541,6 @@ def test_output_root_env(tmp_path, monkeypatch):
     })
     assert run_cli(["integrate", cfg]) == 0
     assert (tmp_path / "root" / "nested" / "out" / "integrate.json").exists()
-
-
-def test_curve_csv_roundtrip(tmp_path):
-    grid = fc.build_koch(3)
-    path = tmp_path / "curve.csv"
-    io.write_curve_csv(path, grid)
-    data = io.read_curve_csv(path)
-    np.testing.assert_array_equal(data["v"], grid.params)
-    np.testing.assert_array_equal(
-        np.stack([data["x"], data["y"], data["z"]], axis=1), grid.points)
 
 
 # JSON values that a malformed config may hold where a number or a name is expected

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from importlib.metadata import version
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +360,18 @@ def test_probability_drift_within_dispersion_bound(level, steps):
         assert drift <= max(1e-12, r * steps * eps), (boundary, r, drift)
         err = np.max(np.abs(ev.theta[dof] - exact)) / (r * steps * eps * np.max(np.abs(theta0)))
         assert err <= 8.0, (boundary, r, err)
+
+
+def test_readme_quickstart_drift_within_dispersion_bound(capsys):
+    # the block prints the drift of the total probability over its run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    scope = {}
+    exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), scope)
+    drift = float(capsys.readouterr().out.split()[-1])
+    assert drift == fc.total_probability(scope["out"]) - fc.total_probability(scope["psi"])
+    ev = fc.CrankNicolsonEvolver(scope["psi"], None, scope["d_tau"], boundary="periodic")
+    r = CONST.hbar * ev.d_tau / (2.0 * CONST.mass * ev.dxi ** 2)
+    assert abs(drift) <= r * scope["steps"] * np.finfo(float).eps, (r, drift)
 
 
 def test_free_gaussian_variance_growth():
@@ -778,6 +791,31 @@ def test_potential_rejects_complex_values(koch5):
     grid, chart = koch5
     with pytest.raises(ValueError):
         fc.PotentialOnCurve(fc.FieldOnCurve.constant(grid, chart, 1.0 + 2.0j))
+
+
+def test_potential_rejects_nonfinite_values(koch5):
+    # a NaN potential would step to an all-NaN state without any error
+    grid, chart = koch5
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fc.PotentialOnCurve(fc.FieldOnCurve.constant(grid, chart, bad))
+
+
+def test_xi_point_count_is_an_integer_of_at_least_2():
+    # only None means the default: 0 is not unset, and 2.9 is not cut to 2
+    grid = fc.build_koch(3)
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0.0j))
+    assert len(fc.conjugate_map(psi).xi) == grid.node_count
+    assert len(fc.conjugate_map(psi, num_points=np.int64(3)).xi) == 3
+    step = fc.KernelStep(epsilon=1e-3, damping_eta=1e-2)
+    for bad, error in ((0, ConjugacyError), (1, ConjugacyError), (2.9, TypeError)):
+        with pytest.raises(error):
+            fc.conjugate_map(psi, num_points=bad)
+        with pytest.raises(error):
+            fc.CrankNicolsonEvolver(psi, None, 1e-3, xi_points=bad)
+        with pytest.raises(error):
+            fc.kernel_step(psi, step, xi_points=bad)
 
 
 def test_conjugate_map_left_inverse_on_plateau_chart():

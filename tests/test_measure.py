@@ -36,16 +36,6 @@ def test_premeasure_domain_error():
         fc.gamma_premeasure(g, -1.3)
 
 
-def test_premeasure_subdivision():
-    g = fc.build_koch(3)
-    ends_only = fc.gamma_premeasure(g, 1.0, subdivision=[0, 64])
-    assert ends_only.value == pytest.approx(1.0, rel=1e-13)  # straight-line distance
-    with pytest.raises(ValueError):
-        fc.gamma_premeasure(g, 1.0, subdivision=[0, 10])
-    with pytest.raises(ValueError):
-        fc.gamma_premeasure(g, 1.0, subdivision=[0, 30, 20, 64])
-
-
 def test_premeasure_scale_covariance():
     g = fc.build_koch(4)
     lam = 2.5
