@@ -5,17 +5,19 @@ what to compute.  A command first calls one reader per config section,
 which checks every key of it and returns a builder of what it describes,
 and only then builds: a config error comes before any build (but for the
 keys the chart's span or the grid's nodes bound) and before any file is
-written.  All numeric output goes through :mod:`.io` at 17 significant
-digits with no timestamps, so identical configs produce byte-identical
-artifacts.  Exit codes: 0 success, 1 numerical failure, 2 config or usage
-error.
+written, and it leaves behind no output directory that the run made.
+All numeric output goes through :mod:`.io` at 17 significant digits with
+no timestamps, so identical configs produce byte-identical artifacts.
+Exit codes: 0 success, 1 numerical failure, 2 config or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -231,7 +233,6 @@ def _output_dir(cfg, override=None) -> Path:
         root = os.environ.get(OUTPUT_ROOT_ENV)
         if root:
             path = Path(root) / path
-    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -518,14 +519,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    made = []  # the directories this run creates, deepest first
     try:
         cfg = load_config(args.config)
         out_dir = _output_dir(cfg, override=args.output_dir)
+        made = list(itertools.takewhile(lambda p: not p.exists(), (out_dir, *out_dir.parents)))
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
         # numpy raises on a float overflow, a division by zero or an invalid
         # operation, so these end the run as numerical failures (ArithmeticError)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
+        # a config fault leaves no directory behind that this run made
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FractalCurveError, ArithmeticError) as exc:
@@ -534,7 +545,7 @@ def main(argv=None) -> int:
         if slopes is not None:
             diag["slopes"] = list(map(float, slopes))
         try:
-            io.write_json(_output_dir(cfg, override=args.output_dir) / "error.json", diag)
+            io.write_json(out_dir / "error.json", diag)
         except Exception:
             pass
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -72,6 +72,7 @@ class CurveGrid:
             raise DegenerateCurveError("parameter endpoints must match param_domain")
         if np.any(self.chord_lengths() == 0.0):
             raise DegenerateCurveError("consecutive nodes must be distinct")
+        object.__setattr__(self, "_mesh", float(np.max(dv)))
 
     @property
     def node_count(self) -> int:
@@ -84,6 +85,20 @@ class CurveGrid:
             cached = _freeze(np.linalg.norm(np.diff(self.points, axis=0), axis=1))
             object.__setattr__(self, "_chords", cached)
         return cached
+
+    def chord_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct chord lengths, ascending, and the number of chords of each."""
+        cached = getattr(self, "_spectrum", None)
+        if cached is None:
+            lengths, counts = np.unique(self.chord_lengths(), return_counts=True)
+            cached = (_freeze(lengths), _freeze(counts))
+            object.__setattr__(self, "_spectrum", cached)
+        return cached
+
+    @property
+    def mesh(self) -> float:
+        """Largest parameter step max(v_{i+1} - v_i)."""
+        return self._mesh
 
     def chord_length_sum(self) -> float:
         return float(np.sum(self.chord_lengths()))
@@ -134,9 +149,12 @@ class AffineMap:
         r = self.rotation
         if r.shape != (3, 3) or not np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-12:
             raise DegenerateCurveError("generator rotations must be 3x3 orthogonal matrices")
+        # a C-contiguous right operand keeps numpy's (n, 3) @ (3, 3) product off
+        # the threaded BLAS path that a transposed view takes
+        object.__setattr__(self, "_linear", _freeze((self.scale * r).T))
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ (self.scale * self.rotation).T + self.translation
+        return pts @ self._linear + self.translation
 
 
 @dataclass(frozen=True)

@@ -145,10 +145,17 @@ class PotentialOnCurve:
         if not np.all(np.isfinite(self.field.values)):
             raise ValueError("potential values must be finite")
 
+    def modulation(self, tau: float) -> float:
+        """Multiplier of the samples at tau; a non-finite one raises ValueError."""
+        factor = float(self.time_dependence(tau))
+        if not math.isfinite(factor):
+            raise ValueError(f"potential time dependence is {factor} at tau={tau!r}")
+        return factor
+
     def values_at(self, tau: float) -> np.ndarray:
         if self.time_dependence is None:
             return self.field.values
-        return self.field.values * float(self.time_dependence(tau))
+        return self.field.values * self.modulation(tau)
 
     @property
     def is_static(self) -> bool:
@@ -411,7 +418,7 @@ class CrankNicolsonEvolver:
     def _v_at(self, tau: float) -> np.ndarray:
         if self.potential is None or self.potential.is_static:
             return self.v_base
-        return self.v_base * float(self.potential.time_dependence(tau))
+        return self.v_base * self.potential.modulation(tau)
 
     def _assemble(self, tau: float):
         """Factor A = I + i lam H, the only operator of the Cayley step, at tau.

@@ -109,12 +109,13 @@ def gamma_premeasure(grid: CurveGrid, alpha: float) -> PreMeasureResult:
 
     The sum runs over every node: the finest available mesh, which
     realizes the fine-partition limit for self-similar generator grids.
+    Chords of equal length are summed once, times their count, so a call
+    costs O(distinct chord lengths) once the grid's spectrum is cached.
     """
     _check_alpha(alpha)
-    chords = grid.chord_lengths()
-    mesh = float(np.max(np.diff(grid.params)))
-    value = float(np.sum(chords ** alpha)) / math.gamma(alpha + 1.0)
-    return PreMeasureResult(alpha=alpha, level=grid.level, value=value, mesh=mesh)
+    lengths, counts = grid.chord_spectrum()
+    value = float(np.sum(counts * lengths ** alpha)) / math.gamma(alpha + 1.0)
+    return PreMeasureResult(alpha=alpha, level=grid.level, value=value, mesh=grid.mesh)
 
 
 def build_staircase(grid: CurveGrid, alpha: float, p0: float | None = None) -> Staircase:

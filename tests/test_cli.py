@@ -376,7 +376,7 @@ def test_evolve_config_faults_exit_2(tmp_path, capsys, monkeypatch, case):
     # each fault is reported against its own key (the case name up to any
     # "-") before anything is built or written
     key = case.split("-")[0]
-    out = tmp_path / "o"
+    out = tmp_path / "o" / "nested"
     cfg = write_cfg(tmp_path / "cfg.json", {
         "curve": {"kind": "koch", "level": 3},
         "run": _RUN,
@@ -388,7 +388,8 @@ def test_evolve_config_faults_exit_2(tmp_path, capsys, monkeypatch, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
     assert_built_nothing(calls, err)
-    assert list(out.glob("*")) == []
+    # neither the output directory nor its parent, both made by the run, is left
+    assert not (tmp_path / "o").exists()
 
 
 _KOCH3 = {"curve": {"kind": "koch", "level": 3}}
@@ -422,7 +423,21 @@ def test_config_faults_exit_2_before_any_build(tmp_path, capsys, monkeypatch, co
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert_built_nothing(calls, err)
-    assert list(out.glob("*")) == []
+    assert not out.exists()
+
+
+def test_config_fault_keeps_an_existing_output_directory(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    cfg = write_cfg(tmp_path / "cfg.json", {**_KOCH3, "run": [1], "output": str(out)})
+    assert run_cli(["evolve", cfg]) == 2
+    assert out.is_dir() and list(out.iterdir()) == []
+    # an output path that names a file is a config fault, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    assert run_cli(["evolve", cfg, "--output-dir", blocker / "o"]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text() == "x"
 
 
 def test_dust_p0_lies_in_zero_to_T(tmp_path):
@@ -596,3 +611,4 @@ def test_cli_fuzzed_evolution_configs_never_crash(case):
         assert (code == 1) == (out / "error.json").exists()
         if code == 2:
             assert_built_nothing(calls, err.getvalue())
+            assert not out.exists()

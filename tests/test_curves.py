@@ -137,6 +137,48 @@ def test_generator_with_unequal_scales():
                                np.sort([0.36, 0.24, 0.24, 0.16]), rtol=1e-12)
 
 
+def _rotation(axis: int, angle: float) -> np.ndarray:
+    """Rotation by ``angle`` about coordinate axis ``axis``."""
+    c, s = math.cos(angle), math.sin(angle)
+    i, j = [k for k in range(3) if k != axis]
+    r = np.eye(3)
+    r[i, i], r[i, j], r[j, i], r[j, j] = c, -s, s, c
+    return r
+
+
+def _twisted_generator() -> fc.GeneratorSpec:
+    """Two maps through (1/2, 0, 1/2), each twisted about its own segment: a 3-D curve."""
+    half = math.sqrt(0.5)
+    return fc.GeneratorSpec((
+        fc.AffineMap(half, _rotation(1, math.pi / 4) @ _rotation(0, math.pi / 2),
+                     np.zeros(3)),
+        fc.AffineMap(half, _rotation(1, -math.pi / 4) @ _rotation(0, -math.pi / 3),
+                     np.array([0.5, 0.0, 0.5])),
+    ))
+
+
+def _iterate_transposed(generator, level):
+    """The builder's iteration with each map applied as pts @ (scale * rotation).T."""
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    for _ in range(level):
+        blocks = [pts @ (m.scale * m.rotation).T + m.translation for m in generator.segments]
+        pts = np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
+    return pts
+
+
+@pytest.mark.parametrize("generator,level", [(fc.koch_generator(), 7),
+                                             (_twisted_generator(), 14)],
+                         ids=["koch-7", "twisted-14"])
+def test_affine_maps_match_the_transposed_product_bit_for_bit(generator, level):
+    # the maps hold their linear part as a C-contiguous (scale * rotation).T;
+    # the points must not move by a single bit against the transposed view
+    g = fc.build_generator_curve(generator, level)
+    ref = _iterate_transposed(generator, level)
+    assert g.points.tobytes() == ref.tobytes()
+    if generator.segment_count == 2:
+        assert np.ptp(g.points, axis=0).min() > 0.1  # spans all three axes
+
+
 def test_scaled_grid():
     g = fc.build_koch(2)
     s = g.scaled(2.5)

@@ -801,6 +801,22 @@ def test_potential_rejects_nonfinite_values(koch5):
             fc.PotentialOnCurve(fc.FieldOnCurve.constant(grid, chart, bad))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_modulation_raises_naming_tau(bad):
+    # a NaN multiplier used to step Koch L3 to an all-NaN state without any error
+    grid = fc.build_koch(3)
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    potential = fc.PotentialOnCurve(fc.FieldOnCurve.constant(grid, chart, 1.0),
+                                    time_dependence=lambda tau: bad if tau > 1.5e-3 else 1.0)
+    psi = fc.gaussian_packet(grid, chart, center=0.5 * chart.total, sigma=0.1 * chart.total)
+    ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-3, boundary="dirichlet")
+    ev.step(2)  # the factors at tau = 0 and 1e-3 are finite
+    with pytest.raises(ValueError, match=r"tau=0\.002"):
+        ev.step(1)
+    with pytest.raises(ValueError, match="time dependence"):
+        potential.values_at(0.002)
+
+
 def test_xi_point_count_is_an_integer_of_at_least_2():
     # only None means the default: 0 is not unset, and 2.9 is not cut to 2
     grid = fc.build_koch(3)

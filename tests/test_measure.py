@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fractalcurve as fc
+from fractalcurve import measure
 from fractalcurve.errors import EstimationFailureError, NotOnCurveError
 
 from conftest import CANTOR_DIM, KOCH_DIM
@@ -43,6 +46,79 @@ def test_premeasure_scale_covariance():
         base = fc.gamma_premeasure(g, alpha).value
         scaled = fc.gamma_premeasure(g.scaled(lam), alpha).value
         np.testing.assert_allclose(scaled, lam ** alpha * base, rtol=1e-12)
+
+
+def direct_premeasure(grid, alpha):
+    """Oracle: sum |chord|**alpha chord by chord, exactly rounded, over Gamma(alpha+1)."""
+    chords = np.linalg.norm(np.diff(grid.points, axis=0), axis=1)
+    return math.fsum(chords ** alpha) / math.gamma(alpha + 1.0)
+
+
+@st.composite
+def _polylines(draw):
+    kind = draw(st.sampled_from(["repeated", "distinct", "single"]))
+    if kind == "repeated":
+        # integer steps times a power of two: equal steps give equal chords exactly
+        steps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=4,
+                              unique=True).filter(lambda s: (0, 0, 0) not in s))
+        picks = draw(st.lists(st.sampled_from(steps), min_size=2, max_size=64))
+        scale = 2.0 ** draw(st.integers(-20, 20))
+        points = np.cumsum([(0, 0, 0)] + picks, axis=0) * scale
+    else:
+        coords = st.floats(-10.0, 10.0, allow_nan=False)
+        count = 2 if kind == "single" else draw(st.integers(3, 65))
+        points = np.array(draw(st.lists(st.tuples(coords, coords, coords),
+                                        min_size=count, max_size=count)))
+    chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    assume(np.all(chords > 0))
+    if kind != "single":
+        # a "repeated" polyline repeats some chord length, a "distinct" one none
+        assume((len(np.unique(chords)) < len(chords)) == (kind == "repeated"))
+    n = len(chords)
+    return fc.CurveGrid(np.arange(n + 1) / n, points, level=0, param_domain=(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid=_polylines(), alpha=st.floats(0.05, 3.0))
+def test_premeasure_equals_the_chord_by_chord_sum(grid, alpha):
+    # the spectrum regroups the sum by equal lengths; only its rounding may differ
+    n = grid.node_count - 1
+    value = fc.gamma_premeasure(grid, alpha).value
+    oracle = direct_premeasure(grid, alpha)
+    assert abs(value - oracle) <= 4 * n * np.finfo(float).eps * oracle
+
+
+def test_chord_spectrum_counts_every_chord_once():
+    g = fc.build_cantor_dust(6)
+    lengths, counts = g.chord_spectrum()
+    assert g.chord_spectrum()[0] is lengths  # computed once per grid
+    assert not lengths.flags.writeable and not counts.flags.writeable
+    assert np.all(np.diff(lengths) > 0) and counts.sum() == g.node_count - 1
+    np.testing.assert_array_equal(np.repeat(lengths, counts), np.sort(g.chord_lengths()))
+    assert g.mesh == np.max(np.diff(g.params))
+
+
+def test_scaled_grid_has_its_own_spectrum():
+    g = fc.build_koch(3)
+    base = fc.gamma_premeasure(g, KOCH_DIM).value  # caches g's spectrum
+    s = g.scaled(2.5)
+    assert s.chord_spectrum()[0] is not g.chord_spectrum()[0]
+    np.testing.assert_array_equal(s.chord_spectrum()[0], np.unique(s.chord_lengths()))
+    assert fc.gamma_premeasure(s, KOCH_DIM).value == pytest.approx(2.5 ** KOCH_DIM * base,
+                                                                   rel=1e-12)
+    assert fc.gamma_premeasure(g, KOCH_DIM).value == base
+
+
+@pytest.mark.parametrize("build,levels", [(fc.build_koch, range(3, 10)),
+                                          (fc.build_cantor_dust, range(4, 16))],
+                         ids=["koch-3-9", "dust-4-15"])
+def test_dimension_equals_bisection_over_the_direct_sum(monkeypatch, build, levels):
+    grids = [build(l) for l in levels]
+    est = fc.estimate_gamma_dimension(grids, tol=1e-9)
+    monkeypatch.setattr(measure, "gamma_premeasure", lambda g, alpha: measure.PreMeasureResult(
+        alpha=alpha, level=g.level, value=direct_premeasure(g, alpha), mesh=g.mesh))
+    oracle = fc.estimate_gamma_dimension(grids, tol=1e-9)
+    assert est.alpha_star == oracle.alpha_star and est.bracket == oracle.bracket
 
 
 def test_refinement_dichotomy_around_koch_dimension():
