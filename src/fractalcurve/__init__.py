@@ -25,7 +25,6 @@ from .measure import (
 from .calculus import (
     FieldOnCurve,
     VectorFieldOnCurve,
-    divergence,
     falpha_derivative,
     falpha_integral,
     gradient,

@@ -24,7 +24,6 @@ __all__ = [
     "falpha_derivative",
     "falpha_integral",
     "gradient",
-    "divergence",
     "laplacian",
     "taylor_eval",
     "finite_difference_weights",
@@ -181,28 +180,6 @@ def gradient(f: FieldOnCurve) -> VectorFieldOnCurve:
     """(df/dS) times the unit chord tangent at each node."""
     df = falpha_derivative(f).values
     return VectorFieldOnCurve(f.grid, df[:, None] * f.grid.unit_tangents(), f.chart)
-
-
-def divergence(vf: VectorFieldOnCurve, form: str = "tangential") -> FieldOnCurve:
-    """Intrinsic divergence of a vector field on the curve.
-
-    ``tangential`` (default) differentiates the tangential projection,
-    d(vf . t)/dS, which makes divergence(gradient(f)) agree with
-    laplacian(f) on fractal grids.  ``componentwise`` contracts the
-    componentwise derivatives with the tangent, sum_i (df_i/dS) t_i; the
-    two coincide wherever the tangent field is constant (straight lines),
-    but only the componentwise form annihilates constant fields on
-    non-smooth curves.
-    """
-    t = vf.grid.unit_tangents()
-    if form == "tangential":
-        tang = FieldOnCurve(vf.grid, np.sum(vf.values * t, axis=1), vf.chart)
-        return falpha_derivative(tang)
-    if form == "componentwise":
-        parts = [falpha_derivative(FieldOnCurve(vf.grid, vf.values[:, i], vf.chart)).values
-                 * t[:, i] for i in range(3)]
-        return FieldOnCurve(vf.grid, parts[0] + parts[1] + parts[2], vf.chart)
-    raise ValueError(f"unknown divergence form {form!r}")
 
 
 def laplacian(f: FieldOnCurve) -> FieldOnCurve:

@@ -8,7 +8,8 @@ keys the chart's span or the grid's nodes bound) and before any file is
 written, and it leaves behind no output directory that the run made.
 All numeric output goes through :mod:`.io` at 17 significant digits with
 no timestamps, so identical configs produce byte-identical artifacts.
-Exit codes: 0 success, 1 numerical failure, 2 config or usage error.
+Exit codes: 0 success, 1 numerical or output failure, 2 config or usage
+error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import itertools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from collections import deque
 from functools import partial
@@ -418,6 +421,81 @@ def cmd_integrate(cfg, out_dir: Path) -> int:
     return 0
 
 
+def _write_piped_snapshots(template, source_fd: int, report_fd: int) -> None:
+    """The writer child: write each snapshot read from ``source_fd`` until EOF.
+
+    A failure is sent to ``report_fd`` as ``"Type: message"``.  The child
+    always leaves by ``os._exit``, so it never returns into the parent's
+    stack, runs no exit handlers and flushes none of the parent's buffers.
+    """
+    code = 1
+    try:
+        # Ctrl-C ends the parent, which then closes the pipe and waits here
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with os.fdopen(source_fd, "rb") as source:
+            while True:
+                try:
+                    path, tau, values = pickle.load(source)
+                except EOFError:
+                    break
+                io.write_snapshot_csv(path, template.with_values(values, tau=tau))
+        code = 0
+    except BaseException as exc:
+        with contextlib.suppress(BaseException):
+            os.write(report_fd, f"{type(exc).__name__}: {exc}".encode())
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _snapshot_writer(template):
+    """``write(path, psi)`` for evolve's snapshot CSVs, run in a forked child.
+
+    Formatting a snapshot costs about as much as stepping to the next one,
+    so a child process formats and writes while the parent steps.  Each
+    snapshot's path, tau and values go through a pipe (pickle), and the
+    child writes ``template.with_values(values, tau=tau)``: it shares the
+    template's grid and chart, so :func:`io.write_snapshot_csv` formats the
+    ``v,S`` fields once.  The pipe's backpressure bounds what is in flight
+    to about one snapshot in the pipe and one in the child.  On leaving,
+    the pipe is closed and the child waited for, whatever happened; a
+    failure of the child is raised as a :class:`FractalCurveError` naming
+    its exception.  Without ``os.fork`` (Windows) the snapshots are
+    written in-process.
+    """
+    if not hasattr(os, "fork"):
+        yield io.write_snapshot_csv
+        return
+    source_fd, sink_fd = os.pipe()
+    report_r, report_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(sink_fd)
+        os.close(report_r)
+        _write_piped_snapshots(template, source_fd, report_w)
+    os.close(source_fd)
+    os.close(report_w)
+    sink = os.fdopen(sink_fd, "wb")
+
+    def write(path, psi):
+        # a child that has left makes this raise BrokenPipeError, and the
+        # report read below replaces it
+        pickle.dump((path, psi.tau, psi.values), sink, pickle.HIGHEST_PROTOCOL)
+        sink.flush()
+
+    try:
+        yield write
+    finally:
+        with contextlib.suppress(BrokenPipeError):
+            sink.close()
+        with os.fdopen(report_r, "rb") as fh:
+            report = fh.read().decode(errors="replace")
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if report or status:
+            raise FractalCurveError(
+                f"snapshot writer failed: {report or f'exit status {status}'}")
+
+
 def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     run_cfg = _section(cfg, "run", required=True)
     d_tau = _number(run_cfg, "d_tau", required=True, positive=True)
@@ -439,30 +517,33 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     psi0, pw_params = initial_at(grid, chart, potential)
     ground = kind == "harmonic_ground"
 
-    # one pass: each snapshot is written and folded into the checks, then
-    # dropped once it leaves the window that the continuity rows need
+    # one pass: each snapshot is sent to the writer (evolve only) and folded
+    # into the checks, then dropped once it leaves the window that the
+    # continuity rows need
     ev = CrankNicolsonEvolver(psi0, potential, d_tau, boundary=boundary, xi_points=xi_points)
     window = deque(maxlen=3)  # the last three (step, snapshot) pairs
     rows, drifts, phase, done = [], [], 0.0, 0
-    while True:
-        psi = ev.snapshot()
-        if write_snapshots:
-            io.write_snapshot_csv(out_dir / f"snapshot_{done:06d}.csv", psi)
-        if pw_params is not None and window:
-            phase += _phase_increment(window[-1][1], psi)
-        if ground:
-            drifts.append(float(np.max(np.abs(np.abs(psi.values) - np.abs(psi0.values)))))
-        window.append((done, psi))
-        if len(window) == 3 and window[1][0] - window[0][0] == done - window[1][0]:
-            (_, pa), (_, pb), _ = window
-            res = continuity_residual(pa, pb, psi).values
-            l2 = math.sqrt(float(falpha_integral(pb.field.with_values(res.astype(float) ** 2))))
-            rows.append((pb.tau, float(np.max(res)), l2, total_probability(pb)))
-        if done == steps:
-            break
-        n = min(stride, steps - done)
-        ev.step(n)
-        done += n
+    writer = _snapshot_writer(ev.template) if write_snapshots else contextlib.nullcontext()
+    with writer as write:
+        while True:
+            psi = ev.snapshot()
+            if write is not None:
+                write(out_dir / f"snapshot_{done:06d}.csv", psi)
+            if pw_params is not None and window:
+                phase += _phase_increment(window[-1][1], psi)
+            if ground:
+                drifts.append(float(np.max(np.abs(np.abs(psi.values) - np.abs(psi0.values)))))
+            window.append((done, psi))
+            if len(window) == 3 and window[1][0] - window[0][0] == done - window[1][0]:
+                (_, pa), (_, pb), _ = window
+                res = continuity_residual(pa, pb, psi).values
+                l2 = math.sqrt(float(falpha_integral(pb.field.with_values(res.astype(float) ** 2))))
+                rows.append((pb.tau, float(np.max(res)), l2, total_probability(pb)))
+            if done == steps:
+                break
+            n = min(stride, steps - done)
+            ev.step(n)
+            done += n
     io.write_continuity_csv(out_dir / "continuity.csv", rows)
 
     derived = {
@@ -529,7 +610,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
         # numpy raises on a float overflow, a division by zero or an invalid
-        # operation, so these end the run as numerical failures (ArithmeticError)
+        # operation, so these end the run as numerical failures (ArithmeticError);
+        # an output that cannot be written (OSError) ends it the same way
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
@@ -539,7 +621,7 @@ def main(argv=None) -> int:
                 path.rmdir()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FractalCurveError, ArithmeticError) as exc:
+    except (FractalCurveError, ArithmeticError, OSError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         slopes = getattr(exc, "slopes", None)
         if slopes is not None:
@@ -548,7 +630,7 @@ def main(argv=None) -> int:
             io.write_json(out_dir / "error.json", diag)
         except Exception:
             pass
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

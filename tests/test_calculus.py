@@ -183,34 +183,6 @@ def test_gradient_koch_matches_tangent_oracle():
     np.testing.assert_allclose(got, oracle, atol=1e-10)
 
 
-def test_divergence_forms():
-    # componentwise form annihilates constants on any curve
-    grid = fc.build_koch(4)
-    chart = fc.build_staircase(grid, KOCH_DIM)
-    const = fc.VectorFieldOnCurve(
-        grid, np.tile([0.3, -1.2, 2.0], (grid.node_count, 1)), chart)
-    assert np.max(np.abs(fc.divergence(const, form="componentwise").values)) == 0.0
-
-    # on a line both forms agree with standard calculus
-    line = fc.build_line((0, 0, 0), (1, 0, 0), 64)
-    lchart = fc.build_staircase(line, 1.0)
-    vf = fc.VectorFieldOnCurve(
-        line, np.stack([lchart.values, np.zeros(65), np.zeros(65)], axis=1), lchart)
-    for form in ("tangential", "componentwise"):
-        np.testing.assert_allclose(fc.divergence(vf, form=form).values[1:-1], 1.0, atol=1e-12)
-
-    with pytest.raises(ValueError):
-        fc.divergence(vf, form="nonsense")
-
-
-def test_divergence_of_gradient_is_laplacian():
-    f, chart = koch_field(5, lambda s: s ** 2)
-    div = fc.divergence(fc.gradient(f)).values
-    lap = fc.laplacian(f).values
-    np.testing.assert_allclose(div[1:-1], lap[1:-1], atol=1e-9)
-    np.testing.assert_allclose(div[1:-1], 2.0, atol=1e-9)
-
-
 def test_laplacian_quadratic_exactness():
     f, _ = koch_field(5, lambda s: s ** 2)
     np.testing.assert_allclose(fc.laplacian(f).values, 2.0, rtol=0, atol=1e-9)

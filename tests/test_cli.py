@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import fractalcurve as fc
 from fractalcurve import cli, io
-from fractalcurve.errors import EstimationFailureError
+from fractalcurve.errors import EstimationFailureError, SolverError
 
 from conftest import KOCH_DIM
 
@@ -149,12 +149,14 @@ def test_derive_and_integrate(tmp_path):
 
 def test_evolve_artifacts_and_roundtrip(tmp_path, monkeypatch):
     # the benchmark's tracing wraps the writer as (path, psi): a call with
-    # another shape would fail here before it fails a traced benchmark pass
-    written = []
+    # another shape would fail here before it fails a traced benchmark pass.
+    # The writer runs in a forked child, so the names go to a file
+    written = tmp_path / "written.txt"
     write = io.write_snapshot_csv
 
     def two_params(path, psi):
-        written.append(Path(path).name)
+        with open(written, "a") as fh:
+            fh.write(Path(path).name + "\n")
         write(path, psi)
 
     monkeypatch.setattr(io, "write_snapshot_csv", two_params)
@@ -172,7 +174,7 @@ def test_evolve_artifacts_and_roundtrip(tmp_path, monkeypatch):
     out = tmp_path / "out"
     snaps = sorted(out.glob("snapshot_*.csv"))
     assert [s.name for s in snaps] == [f"snapshot_{i:06d}.csv" for i in (0, 10, 20, 30, 40)]
-    assert written == [s.name for s in snaps]
+    assert written.read_text().splitlines() == [s.name for s in snaps]
 
     phase = json.loads((out / "phase_check.json").read_text())
     assert phase["relative_error"] < 1e-3
@@ -544,6 +546,91 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     diag = json.loads((tmp_path / "out" / "error.json").read_text())
     assert diag["error"] == "EstimationFailureError"
     assert diag["slopes"] == [0.1, -0.2]
+
+
+# an evolve run with five snapshots, the first at step 0
+_SNAPSHOT_RUN = {**_KOCH3, "alpha_space": KOCH_DIM,
+                 "run": {"d_tau": 1e-3, "steps": 20, "snapshot_stride": 5,
+                         "boundary": "periodic", "initial": {"kind": "gaussian"}}}
+
+
+def assert_no_child_process():
+    # every child this process started has been waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command,blocked,fork", [
+    ("evolve", "snapshot_000000.csv", True),
+    ("evolve", "snapshot_000000.csv", False),
+    ("continuity", "continuity.csv", True),
+], ids=["evolve-forked", "evolve-in-process", "continuity"])
+def test_unwritable_output_exits_1_without_traceback(tmp_path, capfd, monkeypatch,
+                                                     command, blocked, fork):
+    # an output file that is a directory cannot be written, in the forked
+    # writer or in this process
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = write_cfg(tmp_path / "cfg.json", {**_SNAPSHOT_RUN, "output": str(out)})
+    assert run_cli([command, cfg]) == 1
+    diag = json.loads((out / "error.json").read_text())
+    assert "IsADirectoryError" in f"{diag['error']}: {diag['message']}"
+    assert blocked in diag["message"]
+    assert "Traceback" not in capfd.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("outcome", ["success", "config_fault", "writer_failure",
+                                     "solver_failure"])
+def test_no_writer_process_outlives_the_cli(tmp_path, monkeypatch, outcome):
+    out = tmp_path / "out"
+    run = dict(_SNAPSHOT_RUN["run"])
+    if outcome == "config_fault":
+        run["d_tau"] = "x"
+    elif outcome == "writer_failure":
+        (out / "snapshot_000010.csv").mkdir(parents=True)
+    elif outcome == "solver_failure":
+        def failing_step(self, n=1):  # first called after the first snapshot
+            raise SolverError("step failed")
+
+        monkeypatch.setattr(fc.CrankNicolsonEvolver, "step", failing_step)
+    cfg = write_cfg(tmp_path / "cfg.json", {**_SNAPSHOT_RUN, "run": run, "output": str(out)})
+    code = run_cli(["evolve", cfg])
+    assert code == {"success": 0, "config_fault": 2}.get(outcome, 1)
+    if code == 1:
+        diag = json.loads((out / "error.json").read_text())
+        assert diag["error"] == ("SolverError" if outcome == "solver_failure"
+                                 else "FractalCurveError")
+        # the writer finished what it was sent before the parent went on
+        snap = io.read_snapshot_csv(out / "snapshot_000000.csv")
+        assert len(snap["re"]) == fc.build_koch(3).node_count
+    assert_no_child_process()
+
+
+def test_in_process_writes_match_forked_writes(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path / "cfg.json", {**_SNAPSHOT_RUN, "output": str(tmp_path / "x")})
+    forked, in_process = tmp_path / "forked", tmp_path / "in_process"
+    assert run_cli(["evolve", cfg, "--output-dir", forked]) == 0
+
+    # without os.fork the same loop writes each snapshot in this process
+    monkeypatch.delattr(os, "fork")
+    written = []
+    write = io.write_snapshot_csv
+
+    def recorded(path, psi):
+        written.append(Path(path).name)
+        write(path, psi)
+
+    monkeypatch.setattr(io, "write_snapshot_csv", recorded)
+    assert run_cli(["evolve", cfg, "--output-dir", in_process]) == 0
+    assert written == [f"snapshot_{i:06d}.csv" for i in range(0, 21, 5)]
+    names = sorted(p.name for p in forked.iterdir())
+    assert names == sorted(p.name for p in in_process.iterdir())
+    for name in names:
+        assert (forked / name).read_bytes() == (in_process / name).read_bytes()
 
 
 def test_output_root_env(tmp_path, monkeypatch):
