@@ -32,15 +32,12 @@ from .calculus import (
     taylor_eval,
 )
 from .dynamics import (
-    ConjugateField,
     CrankNicolsonEvolver,
     KernelStep,
     PhysicalConstants,
     PlaneWaveParams,
     PotentialOnCurve,
     WaveFunction,
-    conjugate_map,
-    conjugate_unmap,
     evolve,
     fit_phase_rate,
     gaussian_packet,

@@ -269,7 +269,7 @@ def _field(cfg):
     return lambda grid, chart: FieldOnCurve.from_chart_function(grid, chart, shape)
 
 
-def _initial_state(run_cfg, constants, boundary, xi_points, has_potential):
+def _initial_state(run_cfg, constants, boundary, has_potential):
     """Kind and builder ``(grid, chart, potential) -> (psi0, plane-wave params or None)``;
     the builder checks the keys the chart's span bounds (see README)."""
     init = _section(run_cfg, "initial", required=True)
@@ -316,8 +316,7 @@ def _initial_state(run_cfg, constants, boundary, xi_points, has_potential):
         _require(has_potential, "harmonic_ground requires a potential")
 
         def build(grid, chart, potential):
-            return stationary_ground_state(grid, chart, potential, constants=constants,
-                                           xi_points=xi_points), None
+            return stationary_ground_state(grid, chart, potential, constants=constants), None
     return kind, build
 
 
@@ -503,13 +502,15 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     stride = _int(run_cfg, "snapshot_stride", max(1, steps // 10), minimum=1)
     boundary = _get(run_cfg, "boundary", "dirichlet")
     _require(boundary in ("dirichlet", "periodic"), "boundary must be dirichlet or periodic")
-    xi_points = _int(run_cfg, "xi_points", minimum=1, maximum=MAX_SEGMENTS + 1)
+    # H lives on the nodes' own chart values, so the grid fixes the xi points;
+    # ignoring the key would run another grid than the config asks for
+    _require("xi_points" not in run_cfg,
+             "xi_points is no longer a run key: the evolver steps on the curve's nodes")
     field_context = _field_context(cfg)
     constants = _physics(cfg)
     time_set = _time_set(cfg)
     potential_at = _potential(run_cfg, constants)
-    kind, initial_at = _initial_state(run_cfg, constants, boundary, xi_points,
-                                      potential_at is not None)
+    kind, initial_at = _initial_state(run_cfg, constants, boundary, potential_at is not None)
 
     grid, alpha, chart = field_context()
     ts = time_set() if time_set else None
@@ -520,7 +521,7 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     # one pass: each snapshot is sent to the writer (evolve only) and folded
     # into the checks, then dropped once it leaves the window that the
     # continuity rows need
-    ev = CrankNicolsonEvolver(psi0, potential, d_tau, boundary=boundary, xi_points=xi_points)
+    ev = CrankNicolsonEvolver(psi0, potential, d_tau, boundary=boundary)
     window = deque(maxlen=3)  # the last three (step, snapshot) pairs
     rows, drifts, phase, done = [], [], 0.0, 0
     writer = _snapshot_writer(ev.template) if write_snapshots else contextlib.nullcontext()

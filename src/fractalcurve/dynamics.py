@@ -5,10 +5,12 @@ equation into the ordinary 1-D Schrodinger equation
 
     i hbar d(theta)/d(tau) = -hbar^2/(2m) d^2(theta)/d(xi)^2 + V theta,
 
-which is integrated with a Crank-Nicolson scheme (unitary for Hermitian
-discrete Hamiltonians up to linear-solve roundoff) in Cayley form: with
-A = I + i lam H the explicit operator is B = 2I - A, so a step
-A^-1 B theta = 2 A^-1 theta - theta is one solve and one axpy.  A is
+which is discretized on the nodes' own chart values xi_j = S(v_j), so
+nothing is resampled, and integrated with a Crank-Nicolson scheme
+(unitary for Hermitian discrete Hamiltonians up to linear-solve
+roundoff) in Cayley form: with A = I + i lam H the explicit operator is
+B = 2I - A, so a step A^-1 B phi = 2 A^-1 phi - phi is one solve and one
+axpy, phi being theta scaled by the square roots of the node weights.  A is
 tridiagonal, factored once with LAPACK ``zgttrf`` and solved with
 ``zgttrs``; the corner couplings of periodic grids are folded into a
 Sherman-Morrison rank-one correction (the cyclic tridiagonal method).
@@ -29,7 +31,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 from dataclasses import dataclass, field as dataclass_field
 
@@ -38,6 +39,7 @@ import numpy as np
 from .calculus import (
     FieldOnCurve,
     VectorFieldOnCurve,
+    _check_plateaus,
     _same_knots,
     falpha_integral,
     gradient,
@@ -59,9 +61,6 @@ __all__ = [
     "PotentialOnCurve",
     "PlaneWaveParams",
     "KernelStep",
-    "ConjugateField",
-    "conjugate_map",
-    "conjugate_unmap",
     "CrankNicolsonEvolver",
     "evolve",
     "kernel_step",
@@ -235,123 +234,45 @@ class KernelStep:
         return math.sqrt(self.constants.hbar * self.epsilon / self.constants.mass)
 
 
-@dataclass(eq=False)
-class ConjugateField:
-    """Samples of the conjugate function theta on a uniform xi grid."""
+def _xi_hamiltonian(psi: WaveFunction, potential: PotentialOnCurve | None, periodic: bool):
+    """The one discrete H = -hbar^2/(2m) d^2/dxi^2 + V, on the nodes' own chart values xi = S(v).
 
-    xi: np.ndarray
-    values: np.ndarray
-    periodic: bool = False
-
-    def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=float)
-        self.values = np.asarray(self.values)
-
-    @property
-    def dxi(self) -> float:
-        return float(self.xi[1] - self.xi[0])
-
-    @property
-    def span(self) -> float:
-        """Domain length: the wrap period for periodic grids."""
-        if self.periodic:
-            return self.dxi * len(self.xi)
-        return float(self.xi[-1] - self.xi[0])
-
-
-def _dedup_plateaus(s: np.ndarray, y: np.ndarray):
-    """Keep the left sample of every staircase plateau for interpolation."""
-    keep = np.concatenate([[True], np.diff(s) > 0])
-    return s[keep], y[keep]
-
-
-def _is_node_grid(s: np.ndarray, m: int, periodic: bool) -> bool:
-    """Whether an m-point uniform xi grid over the chart values s is the node grid.
-
-    It is when the chart increments are uniform (within 1e-9 of their mean)
-    and there is one xi point per node, less the seam node on periodic
-    grids; values then move between the two grids by copying.
+    With the chart increments h_j and the trapezoid weights
+    w_j = (h_(j-1) + h_j) / 2 of :func:`falpha_integral` (wrapped at the
+    seam on periodic grids), the stiffness K couples neighbours by
+    -hbar^2 / (2m h_j), and H = W^-1/2 K W^-1/2 + V is real, symmetric and
+    tridiagonal in phi = W^1/2 theta.  Returns the unknowns (the nodes less
+    the seam node if periodic, else the interior), sqrt(w) and the kinetic
+    diagonal on them, the couplings of successive unknowns (followed, on
+    periodic grids, by the corner coupling of the last and the first) and
+    V at the nodes.  W^-1 K is :func:`laplacian`'s interior stencil times
+    -hbar^2 / (2m), so the evolver steps with :func:`hamiltonian_apply`.
     """
-    if m != len(s) - periodic:
-        return False
-    ds = np.diff(s)
-    return bool(np.all(ds > 0) and (ds.max() - ds.min()) <= 1e-9 * ds.mean())
-
-
-def _map_to_xi(psi: WaveFunction, num_points, periodic: bool):
-    """:func:`conjugate_map` of psi and whether its xi grid is the node grid."""
-    s = psi.space_chart.values
-    if s[-1] - s[0] <= 0:
-        raise ConjugacyError("the staircase chart is constant; no conjugate chart exists")
-    m = len(s) - periodic if num_points is None else operator.index(num_points)
-    if m < 2:
-        raise ConjugacyError("need at least 2 xi points")
-    # a periodic grid stops one cell short of the seam, its wrap image
-    xi = np.linspace(s[0], s[-1], m + periodic)[:m]
-    on_node_grid = _is_node_grid(s, m, periodic)
-    if on_node_grid:
-        theta = psi.values[:m].copy()
-    else:
-        theta = np.interp(xi, *_dedup_plateaus(s, psi.values))
-    return ConjugateField(xi=xi, values=theta, periodic=periodic), on_node_grid
-
-
-def conjugate_map(psi: WaveFunction, num_points=None, periodic: bool = False) -> ConjugateField:
-    """Resample psi onto a uniform grid in xi = S(v).
-
-    ``num_points`` is the xi point count, an integer of at least 2; None
-    means the node count less the seam node.
-
-    Periodic grids drop the seam node: the final curve node is the wrap
-    image of the first.  When the chart increments are uniform to 1e-9 of
-    their mean and ``num_points`` is the node count less the seam node (the
-    default), the map copies the node values and the round trip through
-    :func:`conjugate_unmap` is exactly the identity (the seam node takes the
-    first node's value); otherwise values are linearly interpolated in xi.
-    """
-    return _map_to_xi(psi, num_points, periodic)[0]
-
-
-def _unmap(conj: ConjugateField, like: WaveFunction, tau: float | None,
-           on_node_grid: bool) -> WaveFunction:
-    seam = slice(0, int(conj.periodic))  # the first xi point, wrapped to the seam node
-    values = np.concatenate([conj.values, conj.values[seam]])
-    if not on_node_grid:
-        xi = np.concatenate([conj.xi, conj.xi[seam] + conj.span])
-        values = np.interp(like.space_chart.values, xi, values)
-    return like.with_values(values, tau=like.tau if tau is None else tau)
-
-
-def conjugate_unmap(conj: ConjugateField, like: WaveFunction,
-                    tau: float | None = None) -> WaveFunction:
-    """Map conjugate values back to the curve nodes: a copy on the node grid, else interpolation."""
-    s = like.space_chart.values
-    span = s[-1] - s[0]
-    # uniform-to-1e-9 increments leave the nodes within 1e-9 * span of a uniform grid
-    on_node_grid = (abs(conj.xi[0] - s[0]) <= 1e-9 * span and abs(conj.span - span) <= 1e-9 * span
-                    and _is_node_grid(s, len(conj.xi), conj.periodic))
-    return _unmap(conj, like, tau, on_node_grid)
-
-
-def _xi_hamiltonian(psi: WaveFunction, potential: PotentialOnCurve | None,
-                    periodic: bool, xi_points):
-    """The one discrete H = -hbar^2/(2m) d^2/dxi^2 + V, on the uniform xi grid of psi.
-
-    Returns psi on that grid, whether it is the node grid, the unknowns
-    (all of xi if periodic, else the interior), V on xi and the
-    off-diagonal ``off``: H is tridiagonal on the unknowns with diagonal
-    -2 off + V, and periodic grids couple the corners by ``off``.
-    """
-    conj, on_node_grid = _map_to_xi(psi, xi_points, periodic)
-    dof = slice(None) if periodic else slice(1, -1)
-    n = len(conj.xi[dof])
+    _check_plateaus(psi.space_chart)
+    h = psi.space_chart.increments
+    dof = slice(0, -1) if periodic else slice(1, -1)
+    # edge j joins nodes j and j + 1; on periodic grids the last edge ends
+    # on the seam node, the wrap image of node 0
+    h_left, h_right = (np.roll(h, 1), h) if periodic else (h[:-1], h[1:])
+    n = len(h_right)
     if n < 3:
         raise SolverError(f"a {'periodic' if periodic else 'dirichlet'} xi grid needs "
                           f"at least 3 unknowns, got {n}")
-    v = (np.zeros_like(conj.xi) if potential is None else
-         np.interp(conj.xi, *_dedup_plateaus(psi.space_chart.values, potential.field.values)))
-    hbar, m = psi.constants.hbar, psi.constants.mass
-    return conj, on_node_grid, dof, v, -hbar ** 2 / (2.0 * m * conj.dxi ** 2)
+    c = psi.constants.hbar ** 2 / (2.0 * psi.constants.mass)
+    w = 0.5 * (h_left + h_right)
+    sqrt_w = np.sqrt(w)
+    kinetic = c * (1.0 / h_left + 1.0 / h_right) / w
+    edges = h if periodic else h[1:-1]
+    off = -c / (edges * (sqrt_w * np.roll(sqrt_w, -1))[:len(edges)])
+    v = np.zeros(len(h) + 1) if potential is None else potential.field.values
+    return dof, sqrt_w, kinetic, off, v
+
+
+def _check_xi_points(xi_points, count: int):
+    """``xi_points`` may only restate the xi point count that the grid fixes."""
+    if xi_points is not None and xi_points != count:
+        raise ConjugacyError(f"the grid fixes {count} xi points, not {xi_points!r}: "
+                             "H is discretized on the nodes' own chart values")
 
 
 @functools.cache
@@ -386,13 +307,15 @@ def _lapack():
 class CrankNicolsonEvolver:
     """Stateful Crank-Nicolson integrator in conjugate coordinates.
 
-    Holds theta on the uniform xi grid between steps; snapshots map back
-    to curve nodes without disturbing the internal state, so stop-resume
-    sequences agree with straight-through runs.
+    Holds phi = W^1/2 theta on the unknowns between steps, where theta is
+    psi on the nodes' own chart values xi = S(v); snapshots map back to
+    the nodes without disturbing the internal state, so stop-resume
+    sequences agree with straight-through runs.  ``xi`` holds the xi
+    points: the nodes less the seam node if periodic.
     """
 
     def __init__(self, psi: WaveFunction, potential: PotentialOnCurve | None = None,
-                 d_tau: float = 1e-3, boundary: str = "dirichlet", xi_points=None):
+                 d_tau: float = 1e-3, boundary: str = "dirichlet"):
         if not (math.isfinite(d_tau) and d_tau > 0):
             raise ValueError("d_tau must be finite and positive")
         if boundary not in ("dirichlet", "periodic"):
@@ -402,29 +325,30 @@ class CrankNicolsonEvolver:
         self.template = psi
         self.constants = psi.constants
         self.potential = potential
-        # the chart and the xi grid are fixed, so every snapshot unmaps alike
-        conj, self._on_node_grid, self._dof, self.v_base, self._off = _xi_hamiltonian(
-            psi, potential, boundary == "periodic", xi_points)
-        self.xi = conj.xi
-        self.dxi = conj.dxi
-        self.theta = conj.values.astype(complex)
+        periodic = boundary == "periodic"
+        self._dof, self._sqrt_w, kinetic, off, v = _xi_hamiltonian(psi, potential, periodic)
+        self.xi = psi.space_chart.values[:psi.grid.node_count - periodic]
+        self.v_base = v[self._dof]
+        self.phi = self._sqrt_w * psi.values[self._dof]
         self.tau = float(psi.tau)
         self._lam = self.d_tau / (2.0 * self.constants.hbar)
-        if boundary == "dirichlet":
-            self.theta[0] = 0.0
-            self.theta[-1] = 0.0
-        self._assemble(self.tau)
+        # a static H is factored once, here; only a time-dependent one keeps
+        # its kinetic part to re-factor A at every step
+        static = potential is None or potential.is_static
+        self._kinetic_h = None if static else (kinetic, off)
+        self._assemble(self.tau, kinetic, off)
 
     def _v_at(self, tau: float) -> np.ndarray:
         if self.potential is None or self.potential.is_static:
             return self.v_base
         return self.v_base * self.potential.modulation(tau)
 
-    def _assemble(self, tau: float):
+    def _assemble(self, tau: float, kinetic: np.ndarray, off: np.ndarray):
         """Factor A = I + i lam H, the only operator of the Cayley step, at tau.
 
-        A is tridiagonal on the degrees of freedom, plus the two corner
-        couplings c on periodic grids.  Those are written as
+        H is the ``kinetic`` diagonal and the couplings ``off`` of
+        :func:`_xi_hamiltonian` plus V at tau.  A is tridiagonal on the unknowns, plus the two corner couplings c
+        on periodic grids.  Those are written as
         A = T + u v^T with u = (g, 0, ..., 0, c), v = (1, 0, ..., 0, c/g)
         and g = -A[0, 0], so T differs from A's band only in its first
         and last diagonal entries (T[0, 0] = 2 A[0, 0] suffers no
@@ -432,15 +356,15 @@ class CrankNicolsonEvolver:
         """
         lapack = _lapack()
         periodic = self.boundary == "periodic"
-        diag = (-2.0 * self._off + self._v_at(tau))[self._dof]
-        n = len(diag)
-        c = 1j * self._lam * self._off
-        a_diag = 1.0 + 1j * self._lam * diag
+        a_diag = 1.0 + 1j * self._lam * (kinetic + self._v_at(tau))
+        n = len(a_diag)
+        band = 1j * self._lam * off
         if periodic:
+            c = band[-1]
             g = -a_diag[0]
             a_diag[0] -= g
             a_diag[-1] -= c * c / g
-        *lu, info = lapack.zgttrf(np.full(n - 1, c), a_diag, np.full(n - 1, c),
+        *lu, info = lapack.zgttrf(band[:n - 1], a_diag, band[:n - 1].copy(),
                                   overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:
             raise SolverError(f"Crank-Nicolson factorization failed (LAPACK info {info})")
@@ -457,42 +381,47 @@ class CrankNicolsonEvolver:
     def step(self, n: int = 1):
         """Advance n Crank-Nicolson steps of d_tau in staircase time.
 
-        Each step is theta <- 2 A^-1 theta - theta (B = 2I - A, with A and
-        B at the step's starting tau): one ``zgttrs`` solve on a copy of
-        theta, the periodic correction, and one axpy.
+        Each step is phi <- 2 A^-1 phi - phi (B = 2I - A, with A and B at
+        the step's starting tau): one ``zgttrs`` solve into a new array,
+        the periodic correction, and one axpy.
         """
         if n < 0:
             raise ValueError("steps must be non-negative")
         zgttrs = _lapack().zgttrs
-        static = self.potential is None or self.potential.is_static
         periodic = self.boundary == "periodic"
+        phi = self.phi
         for _ in range(n):
-            if not static:
-                self._assemble(self.tau)
-            th = self.theta[self._dof]
-            x, info = zgttrs(*self._lu, th)
+            if self._kinetic_h is not None:
+                self._assemble(self.tau, *self._kinetic_h)
+            x, info = zgttrs(*self._lu, phi)
             if info != 0:
                 raise SolverError(f"Crank-Nicolson solve failed (LAPACK info {info})")
             if periodic:
                 x -= self._z * (x[0] + self._v_last * x[-1])
             x *= 2.0
-            np.subtract(x, th, out=th)
+            np.subtract(x, phi, out=phi)
             self.tau += self.d_tau
         return self
 
-    def conjugate_state(self) -> ConjugateField:
-        return ConjugateField(self.xi, self.theta.copy(), periodic=(self.boundary == "periodic"))
-
     def snapshot(self) -> WaveFunction:
-        # unmapping builds new arrays, so theta needs no defensive copy here
-        conj = ConjugateField(self.xi, self.theta, periodic=(self.boundary == "periodic"))
-        return _unmap(conj, self.template, self.tau, self._on_node_grid)
+        """psi at the nodes: theta = phi / sqrt(w), the seam node copied or the ends zeroed."""
+        values = np.zeros(self.template.grid.node_count, dtype=complex)
+        np.divide(self.phi, self._sqrt_w, out=values[self._dof])
+        if self.boundary == "periodic":
+            values[-1] = values[0]
+        return self.template.with_values(values, tau=self.tau)
 
 
 def evolve(psi: WaveFunction, potential: PotentialOnCurve | None, d_tau: float,
            steps: int, boundary: str = "dirichlet", xi_points=None) -> WaveFunction:
-    """Crank-Nicolson evolution by ``steps`` increments of staircase time d_tau."""
-    ev = CrankNicolsonEvolver(psi, potential, d_tau, boundary=boundary, xi_points=xi_points)
+    """Crank-Nicolson evolution by ``steps`` increments of staircase time d_tau.
+
+    ``xi_points``, if given, must be the xi point count that the grid
+    fixes (the node count, less the seam node if periodic); any other
+    value raises :class:`ConjugacyError`.
+    """
+    _check_xi_points(xi_points, psi.grid.node_count - (boundary == "periodic"))
+    ev = CrankNicolsonEvolver(psi, potential, d_tau, boundary=boundary)
     ev.step(steps)
     return ev.snapshot()
 
@@ -503,6 +432,13 @@ _MAX_KERNEL_IMAGES = 4000
 def kernel_step(psi: WaveFunction, step: KernelStep, xi_points=None) -> WaveFunction:
     """Single free-propagator convolution step on the periodic xi grid.
 
+    The grid is the nodes' own chart values less the seam node, and the
+    FFT needs it uniform: chart increments that spread by more than 1e-9
+    of their mean raise :class:`ConjugacyError`, a zero increment
+    :class:`PlateauError`.  ``xi_points``, if given, must be that grid's
+    point count, the node count less one; any other value raises
+    :class:`ConjugacyError`.
+
     The convolution kernel is the periodization (method of images) of the
     damped amplitude exp[i m delta^2 / (2 hbar eps (1 - i eta))]; images
     are summed out to the damping cutoff.  The discrete kernel is
@@ -511,15 +447,21 @@ def kernel_step(psi: WaveFunction, step: KernelStep, xi_points=None) -> WaveFunc
     approaches ``step.normalization / dxi`` as the damping vanishes and
     the grid refines.
     """
-    conj, on_node_grid = _map_to_xi(psi, xi_points, True)
-    m = len(conj.xi)
-    dxi = conj.dxi
+    _check_plateaus(psi.space_chart)
+    s = psi.space_chart.values
+    ds = psi.space_chart.increments
+    if ds.max() - ds.min() > 1e-9 * ds.mean():
+        raise ConjugacyError("kernel_step needs a uniform chart, but its increments spread "
+                             f"from {ds.min():.3e} to {ds.max():.3e}")
+    m = len(ds)
+    _check_xi_points(xi_points, m)
+    dxi = float(s[-1] - s[0]) / m
     if step.width() < 4.0 * dxi:
         raise ResolutionError(
             f"kernel width {step.width():.3e} spans fewer than 4 grid cells "
             f"(dxi = {dxi:.3e}); refine the grid or enlarge epsilon"
         )
-    span = conj.span
+    span = dxi * m  # the wrap period
     delta = dxi * np.arange(m)
     delta[delta > span / 2.0] -= span
     b = _kernel_exponent(step, step.damping_eta)
@@ -535,9 +477,8 @@ def kernel_step(psi: WaveFunction, step: KernelStep, xi_points=None) -> WaveFunc
     for j in range(-images, images + 1):
         kern += np.exp(b * (delta + j * span) ** 2)
     normalizer = np.sum(kern)
-    theta_new = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(conj.values)) / normalizer
-    out = ConjugateField(conj.xi, theta_new, periodic=True)
-    return _unmap(out, psi, psi.tau + step.epsilon, on_node_grid)
+    theta = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(psi.values[:m])) / normalizer
+    return psi.with_values(np.concatenate([theta, theta[:1]]), tau=psi.tau + step.epsilon)
 
 
 @functools.cache
@@ -724,23 +665,21 @@ def gaussian_packet(grid: CurveGrid, space_chart: Staircase, center: float, sigm
 
 def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
                             potential: PotentialOnCurve,
-                            constants: PhysicalConstants = PhysicalConstants(),
-                            xi_points=None) -> WaveFunction:
+                            constants: PhysicalConstants = PhysicalConstants()) -> WaveFunction:
     """Ground state of the discrete Dirichlet Hamiltonian that the evolver steps with.
 
     Both take H from one builder, so the state is an eigenvector of the
     Crank-Nicolson operator up to the eigensolver's residual.  Each step
     turns that residual's components in the low modes by their own phase
     rates, so |psi| drifts by a roundoff that grows with the step count
-    and the dispersion number r: within r * steps * eps (measured 0.002 to
-    0.53 of it over 100 steps at Koch levels 6-9), while the total
+    and the dispersion number r: within r * steps * eps (measured 0.04 to
+    0.50 of it over 100 steps at Koch levels 6-9), while the total
     probability drifts by only about 1e-13 at level 9.
     """
     zero = WaveFunction(FieldOnCurve.constant(grid, space_chart, 0.0 + 0.0j),
                         constants=constants)
-    conj, on_node_grid, dof, v, off = _xi_hamiltonian(zero, potential, False, xi_points)
-    diag = (-2.0 * off + v)[dof]
-    band = np.full(len(diag) - 1, off)
+    dof, sqrt_w, kinetic, band, v = _xi_hamiltonian(zero, potential, False)
+    diag = kinetic + v[dof]
     # what eigh_tridiagonal(select="i", select_range=(0, 0)) runs: bisection
     # for the lowest eigenvalue, then inverse iteration for its vector
     lapack = _lapack()
@@ -749,10 +688,9 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
         vecs, info = lapack.dstein(diag, band, w[:m], iblock, isplit)
     if info != 0:
         raise SolverError(f"ground-state eigensolver failed (LAPACK info {info})")
-    theta = np.zeros(len(conj.xi), dtype=complex)
-    theta[dof] = vecs[:, 0]
-    psi = _unmap(ConjugateField(conj.xi, theta), zero, 0.0, on_node_grid)
-    return psi.normalized()
+    values = np.zeros(grid.node_count, dtype=complex)
+    values[dof] = vecs[:, 0] / sqrt_w
+    return zero.with_values(values).normalized()
 
 
 def _snapshot_spacing(psi_prev: WaveFunction, psi_mid: WaveFunction,

@@ -42,7 +42,7 @@ class NotOnCurveError(FractalCurveError):
 
 
 class ConjugacyError(FractalCurveError):
-    """The staircase chart is too degenerate to define the conjugate map."""
+    """The staircase chart does not give the xi grid an operation needs."""
 
 
 class ResolutionError(FractalCurveError):

@@ -17,6 +17,25 @@ def fit_slope(h, err):
     return float(np.polyfit(np.log(np.asarray(h)), np.log(np.asarray(err)), 1)[0])
 
 
+def dispersion_r(ev):
+    """Crank-Nicolson dispersion number r = hbar d_tau / (2 m min h^2) of an evolver."""
+    h = np.min(ev.template.space_chart.increments)
+    return ev.constants.hbar * ev.d_tau / (2.0 * ev.constants.mass * h ** 2)
+
+
+def uneven_curve(level):
+    """Generator curve of scales 0.6 and 0.4 on the unit segment and its alpha = 1 chart.
+
+    Its chart increments are the chord lengths 0.6^k 0.4^(level - k), so they
+    spread by 1.5^level (58x at level 10): a chart far from uniform.
+    """
+    eye = np.eye(3)
+    gen = fc.GeneratorSpec((fc.AffineMap(0.6, eye, np.zeros(3)),
+                            fc.AffineMap(0.4, eye, np.array([0.6, 0.0, 0.0]))))
+    grid = fc.build_generator_curve(gen, level)
+    return grid, fc.build_staircase(grid, 1.0)
+
+
 def wrapped_gaussian(grid, chart):
     """Normalized periodic Gaussian packet: mid-chart, sigma S_total/12, one period of k0."""
     total = chart.values[-1] - chart.values[0]

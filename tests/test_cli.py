@@ -191,9 +191,13 @@ def test_evolve_artifacts_and_roundtrip(tmp_path, monkeypatch):
     psi0 = fc.plane_wave(
         fc.PlaneWaveParams.from_wavenumber(2 * math.pi / chart.total), grid, chart)
     np.testing.assert_array_equal(data["v"], grid.params)
+    snap0 = fc.CrankNicolsonEvolver(psi0, None, 1e-3, boundary="periodic").snapshot()
+    np.testing.assert_array_equal(data["re"], np.real(snap0.values))
+    np.testing.assert_array_equal(data["im"], np.imag(snap0.values))
+    # the evolver holds sqrt(w) psi, so the first snapshot is psi0 to 2 ulp;
     # the seam node is the wrap image of the first node under periodic runs
-    np.testing.assert_array_equal(data["re"][:-1], np.real(psi0.values)[:-1])
-    np.testing.assert_array_equal(data["im"][:-1], np.imag(psi0.values)[:-1])
+    np.testing.assert_array_max_ulp(data["re"][:-1], np.real(psi0.values)[:-1], 2)
+    np.testing.assert_array_max_ulp(data["im"][:-1], np.imag(psi0.values)[:-1], 2)
     assert data["re"][-1] == data["re"][0] and data["im"][-1] == data["im"][0]
 
 
@@ -336,6 +340,9 @@ _RUN = {"d_tau": 1e-3, "steps": 5, "initial": {"kind": "plane_wave"}}
 # one malformed value per case, named by its key
 _FAULTS = {
     "xi_points": {"run": {**_RUN, "xi_points": "x"}},
+    # the grid fixes the xi points, so even Koch L3's node count is refused
+    # rather than ignored
+    "xi_points-node_count": {"run": {**_RUN, "xi_points": 65}},
     "A": {"run": {**_RUN, "initial": {"kind": "plane_wave", "A": "z"}}},
     "sigma_frac": {"run": {**_RUN, "initial": {"kind": "gaussian", "sigma_frac": "a"}}},
     "p0": {"p0": 5.0},
@@ -520,11 +527,12 @@ def test_missing_lapack_extension_is_a_numerical_failure(tmp_path, no_flapack):
     {"initial": {"kind": "harmonic_ground"}, "potential": {"kind": "harmonic"}},
 ], ids=["periodic-plane_wave", "dirichlet-harmonic_ground"])
 def test_two_point_periodic_grid_is_a_numerical_failure(tmp_path, run):
-    # two xi points leave fewer than the 3 unknowns that the discrete H needs,
-    # on either boundary, for the evolver and the ground state alike
+    # a 2-segment line leaves fewer than the 3 unknowns that the discrete H
+    # needs (2 periodic xi points, 1 interior node), on either boundary, for
+    # the evolver and the ground state alike
     cfg = write_cfg(tmp_path / "cfg.json", {
-        "curve": {"kind": "line", "segments": 16},
-        "run": {"d_tau": 1e-3, "steps": 5, "xi_points": 2, **run},
+        "curve": {"kind": "line", "segments": 2},
+        "run": {"d_tau": 1e-3, "steps": 5, **run},
         "output": str(tmp_path / "o"),
     })
     assert run_cli(["evolve", cfg]) == 1

@@ -13,12 +13,13 @@ from fractalcurve import dynamics
 from fractalcurve.errors import (
     AlignmentError,
     ConjugacyError,
+    PlateauError,
     QuadratureError,
     ResolutionError,
     SolverError,
 )
 
-from conftest import KOCH_DIM, fit_slope, wrapped_gaussian
+from conftest import KOCH_DIM, dispersion_r, fit_slope, uneven_curve, wrapped_gaussian
 
 CONST = fc.PhysicalConstants()
 
@@ -67,85 +68,6 @@ def test_plane_wave_modulus_and_zero(koch5):
     assert np.max(np.abs(zero.values)) == 0.0
 
 
-def test_conjugate_map_plane_wave_is_plane_wave(koch5):
-    # substitution oracle: psi = exp(i k S(v)) becomes theta = exp(i k xi)
-    grid, chart = koch5
-    k = 5.0
-    psi = fc.WaveFunction(fc.FieldOnCurve(grid, np.exp(1j * k * chart.values), chart))
-    conj = fc.conjugate_map(psi)
-    np.testing.assert_allclose(conj.values, np.exp(1j * k * conj.xi), atol=1e-12)
-
-
-def test_conjugate_roundtrip_identity(koch5):
-    grid, chart = koch5
-    rng = np.random.default_rng(7)
-    vals = rng.normal(size=grid.node_count) + 1j * rng.normal(size=grid.node_count)
-    psi = fc.WaveFunction(fc.FieldOnCurve(grid, vals, chart))
-    back = fc.conjugate_unmap(fc.conjugate_map(psi), psi)
-    np.testing.assert_allclose(back.values, psi.values, atol=1e-12)
-    # periodic grids wrap the seam node onto the first point
-    per = fc.conjugate_map(psi, periodic=True)
-    assert len(per.xi) == grid.node_count - 1
-    back_per = fc.conjugate_unmap(per, psi)
-    np.testing.assert_allclose(back_per.values[:-1], psi.values[:-1], atol=1e-12)
-    assert back_per.values[-1] == back_per.values[0]
-
-
-@pytest.mark.parametrize("periodic", [False, True])
-def test_conjugate_roundtrip_exact_at_koch9(periodic):
-    # cumsum-built knots sit ~1e-12 off a linspace grid at 262k nodes;
-    # uniform increments still make both directions a copy
-    grid = fc.build_koch(9)
-    chart = fc.build_staircase(grid, KOCH_DIM)
-    rng = np.random.default_rng(11)
-    vals = rng.normal(size=grid.node_count) + 1j * rng.normal(size=grid.node_count)
-    psi = fc.WaveFunction(fc.FieldOnCurve(grid, vals, chart))
-    back = fc.conjugate_unmap(fc.conjugate_map(psi, periodic=periodic), psi)
-    keep = slice(0, grid.node_count - periodic)
-    assert np.array_equal(back.values[keep], psi.values[keep])
-
-
-@pytest.mark.parametrize("periodic", [False, True])
-def test_conjugate_unmap_interpolates_off_the_node_grid(koch5, periodic):
-    # one xi point per node, but shifted or stretched: a copy would misplace the values
-    grid, chart = koch5
-    k = 2.0 * math.pi / chart.total
-    psi = fc.WaveFunction(fc.FieldOnCurve(grid, np.exp(1j * k * chart.values), chart))
-    conj = fc.conjugate_map(psi, periodic=periodic)
-    s0 = conj.xi[0]
-    for xi in (conj.xi + 0.5 * conj.dxi, s0 + 1.01 * (conj.xi - s0)):
-        moved = fc.ConjugateField(xi, np.exp(1j * k * xi), periodic=periodic)
-        back = fc.conjugate_unmap(moved, psi)
-        inside = chart.values >= xi[0]
-        assert np.max(np.abs(back.values - psi.values)[inside]) < 1e-4
-
-
-def test_conjugate_map_constant_and_nonuniform():
-    eye = np.eye(3)
-    gen = fc.GeneratorSpec((
-        fc.AffineMap(0.6, eye, np.zeros(3)),
-        fc.AffineMap(0.4, eye, np.array([0.6, 0.0, 0.0])),
-    ))
-    grid = fc.build_generator_curve(gen, 6)
-    chart = fc.build_staircase(grid, 1.0)
-    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 2.0 - 1.0j))
-    conj = fc.conjugate_map(psi)
-    np.testing.assert_allclose(conj.values, 2.0 - 1.0j, atol=1e-14)
-    assert np.allclose(np.diff(conj.xi), conj.dxi)
-    # smooth data resamples within interpolation error on the nonuniform chart
-    smooth = fc.WaveFunction(fc.FieldOnCurve(grid, np.sin(3.0 * chart.values) + 0j, chart))
-    cj = fc.conjugate_map(smooth)
-    assert np.max(np.abs(cj.values - np.sin(3.0 * cj.xi))) < 1e-3
-
-
-def test_conjugate_map_degenerate_chart():
-    grid = fc.build_line((0, 0, 0), (1, 0, 0), 4)
-    flat = fc.Staircase(alpha=1.0, params=grid.params, values=np.zeros(5), p0=0.0)
-    psi = fc.WaveFunction(fc.FieldOnCurve(grid, np.ones(5), flat))
-    with pytest.raises(ConjugacyError):
-        fc.conjugate_map(psi)
-
-
 def test_evolve_plane_wave_phase(koch5):
     grid, chart = koch5
     k = 2.0 * math.pi / chart.total
@@ -170,24 +92,29 @@ def test_evolve_stop_resume_consistency(koch5):
     np.testing.assert_allclose(resumed.values, straight.values, atol=1e-12)
 
 
-@pytest.mark.parametrize("xi_points", [None, 300], ids=["node-grid", "off-grid"])
+@pytest.mark.parametrize("level", [5, 9])
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-def test_evolver_snapshot_matches_conjugate_unmap(koch5, boundary, xi_points):
-    # the evolver decides once whether its xi grid is the node grid; each
-    # snapshot must unmap exactly as conjugate_unmap decides per call
-    grid, chart = koch5
-    psi = fc.gaussian_packet(grid, chart, center=0.5 * chart.total,
-                             sigma=0.1 * chart.total, k0=40.0)
-    ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-4, boundary=boundary, xi_points=xi_points)
-    for _ in range(2):
-        snap = ev.snapshot()
-        unmapped = fc.conjugate_unmap(ev.conjugate_state(), psi, tau=ev.tau)
-        assert np.array_equal(snap.values, unmapped.values) and snap.tau == ev.tau
-        ev.step(3)
-    if xi_points is None:
-        ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-4, boundary=boundary)
-        inner = slice(1, -1)  # dirichlet zeroes both ends, periodic wraps the seam
-        assert np.array_equal(ev.snapshot().values[inner], psi.values[inner])
+def test_evolver_snapshot_roundtrip_within_2_ulp(boundary, level):
+    # the evolver holds phi = sqrt(w) theta and a snapshot divides by sqrt(w)
+    # again, so the round trip of an unstepped state holds to 2 ulp, not bit
+    # for bit; snapshots neither move nor share the internal state
+    grid = fc.build_koch(level)
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=grid.node_count) + 1j * rng.normal(size=grid.node_count)
+    psi = fc.WaveFunction(fc.FieldOnCurve(grid, vals, chart))
+    ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-4, boundary=boundary)
+    snap = ev.snapshot()
+    inner = slice(1, -1)  # dirichlet zeroes both ends, periodic wraps the seam
+    for part in (np.real, np.imag):
+        np.testing.assert_array_max_ulp(part(snap.values[inner]), part(psi.values[inner]), 2)
+    if boundary == "periodic":
+        assert snap.values[-1] == snap.values[0]
+    else:
+        assert snap.values[0] == snap.values[-1] == 0
+    phi = ev.phi.copy()
+    snap.values[:] = 0  # a snapshot shares no memory with the evolver
+    assert np.array_equal(ev.phi, phi)
 
 
 def test_evolver_validation(koch5):
@@ -204,52 +131,85 @@ def test_evolver_validation(koch5):
     with pytest.raises(ValueError, match="non-negative"):
         ev.step(-1)
     # a 2-point periodic grid has no distinct corner couplings, and the
-    # factored solve needs at least 3 unknowns on either boundary
-    with pytest.raises(SolverError):
-        fc.CrankNicolsonEvolver(psi, None, d_tau=1e-3, boundary="periodic", xi_points=2)
-    with pytest.raises(SolverError):
-        fc.CrankNicolsonEvolver(psi, None, d_tau=1e-3, boundary="dirichlet", xi_points=4)
+    # factored solve needs at least 3 unknowns on either boundary: a line of
+    # 2 segments has 2 periodic unknowns, one of 3 segments 2 interior ones
+    for segments, boundary in ((2, "periodic"), (3, "dirichlet")):
+        line = fc.build_line((0, 0, 0), (1, 0, 0), segments)
+        short = fc.WaveFunction(fc.FieldOnCurve.constant(line, fc.build_staircase(line, 1.0),
+                                                         1.0 + 0j))
+        with pytest.raises(SolverError, match="at least 3 unknowns"):
+            fc.CrankNicolsonEvolver(short, None, d_tau=1e-3, boundary=boundary)
 
 
-def _harmonic_line(n_unknowns, boundary):
-    """Random state and harmonic potential on a line whose xi points are its nodes."""
-    segments = n_unknowns + (1 if boundary == "dirichlet" else 0)
-    grid = fc.build_line((0, 0, 0), (16, 0, 0), segments)
-    chart = fc.build_staircase(grid, 1.0)
-    vfield = fc.FieldOnCurve.from_chart_function(grid, chart, lambda s: 0.5 * (s - 8.0) ** 2)
+def _harmonic_state(n_unknowns, boundary):
+    """Random state and harmonic potential on a line of n_unknowns unknowns, or on
+    the uneven generator curve at level 6 when n_unknowns is None."""
+    if n_unknowns is None:
+        grid, chart = uneven_curve(6)
+    else:
+        segments = n_unknowns + (1 if boundary == "dirichlet" else 0)
+        grid = fc.build_line((0, 0, 0), (16, 0, 0), segments)
+        chart = fc.build_staircase(grid, 1.0)
+    center = 0.5 * chart.total
+    vfield = fc.FieldOnCurve.from_chart_function(grid, chart, lambda s: 0.5 * (s - center) ** 2)
     # random amplitudes reach the seam, where the periodic corners act
     rng = np.random.default_rng(7)
     vals = rng.normal(size=grid.node_count) + 1j * rng.normal(size=grid.node_count)
     return fc.WaveFunction(fc.FieldOnCurve(grid, vals, chart)), fc.PotentialOnCurve(vfield)
 
 
-@pytest.mark.parametrize("n", [3, 64])
+def _dense_kinetic(chart, periodic):
+    """W^-1/2 K W^-1/2 and sqrt(w), built densely from the chart increments h_j.
+
+    K is the stiffness matrix of sum_j hbar^2 |theta_(j+1) - theta_j|^2 / (2 m h_j),
+    edge by edge, and w_j = (h_(j-1) + h_j) / 2 is the trapezoid weight of
+    node j; periodic grids identify the seam node with node 0.
+    """
+    h = chart.increments
+    nodes = len(h) + 1
+    k = np.zeros((nodes, nodes))
+    w = np.zeros(nodes)
+    for j, hj in enumerate(h):
+        stiff = CONST.hbar ** 2 / (2.0 * CONST.mass * hj)
+        k[np.ix_([j, j + 1], [j, j + 1])] += stiff * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        w[[j, j + 1]] += 0.5 * hj
+    if periodic:  # fold the seam node onto node 0
+        k[0, :] += k[-1, :]
+        k[:, 0] += k[:, -1]
+        w[0] += w[-1]
+        keep = slice(0, -1)
+    else:
+        keep = slice(1, -1)
+    k, sqrt_w = k[keep, keep], np.sqrt(w[keep])
+    return k / np.outer(sqrt_w, sqrt_w), sqrt_w
+
+
+@pytest.mark.parametrize("n", [3, 64, pytest.param(None, id="uneven")])
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 def test_crank_nicolson_step_matches_dense_oracle(boundary, n):
-    # five steps, each against the textbook form A(tau)^-1 B(tau) theta with
-    # the explicit B = I - i lam H built densely from H, under a static and
-    # a time-dependent potential
-    psi, static = _harmonic_line(n, boundary)
-    d_tau = 0.05
-    dof = slice(1, -1) if boundary == "dirichlet" else slice(None)
+    # five steps, each against the textbook form A(tau)^-1 B(tau) phi with
+    # the explicit B = I - i lam H and H = W^-1/2 K W^-1/2 + V built densely
+    # from the chart, under a static and a time-dependent potential
+    psi, static = _harmonic_state(n, boundary)
+    periodic = boundary == "periodic"
+    d_tau = 0.05 if n is not None else 1e-4
+    dof = slice(None, -1) if periodic else slice(1, -1)
     lam = d_tau / (2.0 * CONST.hbar)
+    kinetic, sqrt_w = _dense_kinetic(psi.space_chart, periodic)
+    v = static.field.values[dof]
     for modulation in (None, lambda tau: 1.0 + 40.0 * tau):
         potential = fc.PotentialOnCurve(static.field, time_dependence=modulation)
         ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=d_tau, boundary=boundary)
-        xi = ev.xi[dof]
-        assert len(xi) == n
-        off = -CONST.hbar ** 2 / (2.0 * CONST.mass * ev.dxi ** 2)
-        kinetic = -2.0 * off * np.eye(n) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
-        if boundary == "periodic":
-            kinetic[0, -1] = kinetic[-1, 0] = off
+        assert n is None or len(ev.phi) == n
+        np.testing.assert_allclose(ev.phi, sqrt_w * psi.values[dof], rtol=1e-15)
         for _ in range(5):
             scale = 1.0 if modulation is None else modulation(ev.tau)
-            h = kinetic + np.diag(scale * 0.5 * (xi - 8.0) ** 2)
-            a = np.eye(n) + 1j * lam * h
-            b = np.eye(n) - 1j * lam * h
-            expect = np.linalg.solve(a, b @ ev.theta[dof])
+            h = kinetic + np.diag(scale * v)
+            a = np.eye(len(v)) + 1j * lam * h
+            b = np.eye(len(v)) - 1j * lam * h
+            expect = np.linalg.solve(a, b @ ev.phi)
             ev.step()
-            assert np.linalg.norm(ev.theta[dof] - expect) <= 1e-13 * np.linalg.norm(expect)
+            assert np.linalg.norm(ev.phi - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
 def _same_bits(a, b):
@@ -273,10 +233,10 @@ def test_flapack_solves_match_scipy_linalg_lapack(koch5, monkeypatch, boundary):
 
     grid, chart = koch5
     psi, potential = wrapped_gaussian(grid, chart), _centered_harmonic(grid, chart)
-    _, _, dof, v, off = dynamics._xi_hamiltonian(psi, potential, boundary == "periodic", None)
+    dof, _, kinetic, off, v = dynamics._xi_hamiltonian(psi, potential, boundary == "periodic")
     lam = 0.5e-3 / CONST.hbar
-    a_diag = 1.0 + 1j * lam * (-2.0 * off + v)[dof]
-    band = np.full(len(a_diag) - 1, 1j * lam * off)
+    a_diag = 1.0 + 1j * lam * (kinetic + v[dof])
+    band = 1j * lam * off[:len(a_diag) - 1]
     rhs = np.random.default_rng(3).normal(size=(len(a_diag), 2)) @ [1.0, 1j]
     private = dynamics._lapack()
     lu, lu_ref = private.zgttrf(band, a_diag, band), public.zgttrf(band, a_diag, band)
@@ -287,7 +247,7 @@ def test_flapack_solves_match_scipy_linalg_lapack(koch5, monkeypatch, boundary):
     ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-3, boundary=boundary).step(5)
     monkeypatch.setattr(dynamics, "_lapack", lambda: public)
     ev_ref = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-3, boundary=boundary).step(5)
-    assert _same_bits(ev.theta, ev_ref.theta)
+    assert _same_bits(ev.phi, ev_ref.phi)
 
 
 def test_ground_state_is_eigh_tridiagonal_of_the_same_h(koch5):
@@ -299,13 +259,10 @@ def test_ground_state_is_eigh_tridiagonal_of_the_same_h(koch5):
     potential = _centered_harmonic(grid, chart)
     gs = fc.stationary_ground_state(grid, chart, potential)
     zero = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 0j))
-    _, on_node_grid, dof, v, off = dynamics._xi_hamiltonian(zero, potential, False, None)
-    assert on_node_grid
-    diag = (-2.0 * off + v)[dof]
-    _, vecs = eigh_tridiagonal(diag, np.full(len(diag) - 1, off),
-                               select="i", select_range=(0, 0))
+    dof, sqrt_w, kinetic, off, v = dynamics._xi_hamiltonian(zero, potential, False)
+    _, vecs = eigh_tridiagonal(kinetic + v[dof], off, select="i", select_range=(0, 0))
     theta = np.zeros(grid.node_count, dtype=complex)
-    theta[dof] = vecs[:, 0]
+    theta[dof] = vecs[:, 0] / sqrt_w
     expect = fc.WaveFunction(fc.FieldOnCurve(grid, theta, chart)).normalized()
     assert _same_bits(gs.values, expect.values)
 
@@ -334,14 +291,16 @@ def _free_cayley_exact(theta0, off, lam, steps, periodic):
 @pytest.mark.parametrize("level,steps", [(5, 1000), (6, 1000), (7, 1000), (9, 100)])
 def test_probability_drift_within_dispersion_bound(level, steps):
     # each step's roundoff grows with the dispersion number
-    # r = hbar d_tau / (2 m dxi^2), so N steps may drift by r N eps,
+    # r = hbar d_tau / (2 m min h^2), so N steps may drift by r N eps,
     # floored at 1e-12 (the form of perfbench's drift_bound).  The norm
     # cannot see a phase error, so the state itself must stay within
-    # 8 r N eps max|theta| of the exact free steps (measured: 0.3-0.6 at
-    # levels 5-7, 0.8-1.0 at level 9)
+    # 8 r N eps max|theta| of the exact free steps of the uniform H, whose
+    # spacing is the chart's span over its cells (measured: 0.13-0.37 at
+    # levels 5-7, 0.6-0.7 at level 9)
     grid = fc.build_koch(level)
     chart = fc.build_staircase(grid, KOCH_DIM)
     total = chart.values[-1] - chart.values[0]
+    dxi = total / (grid.node_count - 1)
     eps = np.finfo(float).eps
     for boundary in ("dirichlet", "periodic"):
         periodic = boundary == "periodic"
@@ -349,16 +308,17 @@ def test_probability_drift_within_dispersion_bound(level, steps):
                                  sigma=total / 12.0, k0=6.0 * math.pi / total,
                                  periodic=periodic)
         ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-4, boundary=boundary)
-        r = CONST.hbar * ev.d_tau / (2.0 * CONST.mass * ev.dxi ** 2)
+        r = dispersion_r(ev)
         p0 = fc.total_probability(ev.snapshot())
-        dof = slice(None) if periodic else slice(1, -1)
-        theta0 = ev.theta[dof].copy()
-        off = -CONST.hbar ** 2 / (2.0 * CONST.mass * ev.dxi ** 2)
+        dof = slice(None, -1) if periodic else slice(1, -1)
+        theta0 = ev.snapshot().values[dof]
+        off = -CONST.hbar ** 2 / (2.0 * CONST.mass * dxi ** 2)
         exact = _free_cayley_exact(theta0, off, ev.d_tau / (2.0 * CONST.hbar), steps, periodic)
         ev.step(steps)
-        drift = abs(fc.total_probability(ev.snapshot()) - p0)
+        snap = ev.snapshot()
+        drift = abs(fc.total_probability(snap) - p0)
         assert drift <= max(1e-12, r * steps * eps), (boundary, r, drift)
-        err = np.max(np.abs(ev.theta[dof] - exact)) / (r * steps * eps * np.max(np.abs(theta0)))
+        err = np.max(np.abs(snap.values[dof] - exact)) / (r * steps * eps * np.max(np.abs(theta0)))
         assert err <= 8.0, (boundary, r, err)
 
 
@@ -369,8 +329,8 @@ def test_readme_quickstart_drift_within_dispersion_bound(capsys):
     exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), scope)
     drift = float(capsys.readouterr().out.split()[-1])
     assert drift == fc.total_probability(scope["out"]) - fc.total_probability(scope["psi"])
-    ev = fc.CrankNicolsonEvolver(scope["psi"], None, scope["d_tau"], boundary="periodic")
-    r = CONST.hbar * ev.d_tau / (2.0 * CONST.mass * ev.dxi ** 2)
+    r = dispersion_r(fc.CrankNicolsonEvolver(scope["psi"], None, scope["d_tau"],
+                                             boundary="periodic"))
     assert abs(drift) <= r * scope["steps"] * np.finfo(float).eps, (r, drift)
 
 
@@ -447,17 +407,15 @@ def test_harmonic_ground_state_is_stationary():
     ev = fc.CrankNicolsonEvolver(gs, potential, d_tau=d_tau, boundary="dirichlet")
     # the evolver steps with the H that the ground state diagonalizes, so one
     # step multiplies it by g = (1 - i lam E) / (1 + i lam E), E the Rayleigh
-    # quotient of an H built here on the node grid (the xi grid of this chart)
-    theta = ev.theta[1:-1].copy()
-    off = -CONST.hbar ** 2 / (2.0 * CONST.mass * (chart.total / 1023) ** 2)
-    h_theta = (-2.0 * off + vfield.values[1:-1]) * theta
-    h_theta[1:] += off * theta[:-1]
-    h_theta[:-1] += off * theta[1:]
-    energy = np.vdot(theta, h_theta).real / np.vdot(theta, theta).real
+    # quotient of an H built here from the chart
+    phi = ev.phi.copy()
+    kinetic, _ = _dense_kinetic(chart, periodic=False)
+    h_phi = kinetic @ phi + vfield.values[1:-1] * phi
+    energy = np.vdot(phi, h_phi).real / np.vdot(phi, phi).real
     lam = d_tau / (2.0 * CONST.hbar)
     ev.step()
     g = (1.0 - 1j * lam * energy) / (1.0 + 1j * lam * energy)
-    assert np.linalg.norm(ev.theta[1:-1] - g * theta) <= 1e-13 * np.linalg.norm(theta)
+    assert np.linalg.norm(ev.phi - g * phi) <= 1e-13 * np.linalg.norm(phi)
     ev.step(int(round(2.0 * math.pi / omega / d_tau)) - 1)
     drift = np.max(np.abs(np.abs(ev.snapshot().values) - np.abs(gs.values)))
     assert drift <= 1e-6
@@ -475,7 +433,7 @@ def test_harmonic_ground_state_is_stationary():
                 grid, chart, lambda s: 0.5 * CONST.mass * omega ** 2 * (s - center) ** 2))
             gs = fc.stationary_ground_state(grid, chart, potential)
             ev = fc.CrankNicolsonEvolver(gs, potential, d_tau=1e-4, boundary="dirichlet")
-            r = CONST.hbar * ev.d_tau / (2.0 * CONST.mass * ev.dxi ** 2)
+            r = dispersion_r(ev)
             drift = 0.0
             for _ in range(10):
                 ev.step(10)
@@ -817,32 +775,154 @@ def test_nonfinite_modulation_raises_naming_tau(bad):
         potential.values_at(0.002)
 
 
-def test_xi_point_count_is_an_integer_of_at_least_2():
-    # only None means the default: 0 is not unset, and 2.9 is not cut to 2
+def test_xi_points_may_only_restate_the_grids_count():
+    # H lives on the nodes' own chart values, so the grid fixes the xi point
+    # count: the node count, less the seam node on periodic grids
     grid = fc.build_koch(3)
     chart = fc.build_staircase(grid, KOCH_DIM)
     psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0.0j))
-    assert len(fc.conjugate_map(psi).xi) == grid.node_count
-    assert len(fc.conjugate_map(psi, num_points=np.int64(3)).xi) == 3
-    step = fc.KernelStep(epsilon=1e-3, damping_eta=1e-2)
-    for bad, error in ((0, ConjugacyError), (1, ConjugacyError), (2.9, TypeError)):
-        with pytest.raises(error):
-            fc.conjugate_map(psi, num_points=bad)
-        with pytest.raises(error):
-            fc.CrankNicolsonEvolver(psi, None, 1e-3, xi_points=bad)
-        with pytest.raises(error):
+    step = fc.KernelStep(epsilon=1e-2, damping_eta=1e-2)
+    n = grid.node_count
+    assert fc.kernel_step(psi, step, xi_points=np.int64(n - 1)).tau == step.epsilon
+    assert fc.evolve(psi, None, 1e-3, 1, boundary="periodic", xi_points=n - 1).tau == 1e-3
+    assert fc.evolve(psi, None, 1e-3, 1, xi_points=n).tau == 1e-3
+    for bad in (0, 2, n - 2, n + 1, 2.9):
+        with pytest.raises(ConjugacyError, match="the grid fixes"):
             fc.kernel_step(psi, step, xi_points=bad)
+        with pytest.raises(ConjugacyError, match="the grid fixes"):
+            fc.evolve(psi, None, 1e-3, 1, boundary="periodic", xi_points=bad)
+    with pytest.raises(ConjugacyError):
+        fc.evolve(psi, None, 1e-3, 1, boundary="dirichlet", xi_points=n - 1)
 
 
-def test_conjugate_map_left_inverse_on_plateau_chart():
+@pytest.mark.parametrize("values,node", [([0.0, 1.0, 1.0, 2.0, 3.0], 1), ([0.0] * 5, 0)],
+                         ids=["plateau", "constant"])
+def test_zero_chart_increment_raises_plateau_error(values, node):
+    # a zero increment gives a node zero trapezoid weight and an infinite
+    # coupling, so no H exists on the chart; nothing resamples around it
     grid = fc.build_line((0, 0, 0), (1, 0, 0), 4)
-    chart = fc.Staircase(alpha=1.0, params=grid.params,
-                         values=np.array([0.0, 1.0, 1.0, 2.0, 3.0]), p0=0.0)
-    psi = fc.WaveFunction(fc.FieldOnCurve(grid, np.array([0.0, 1.0, 5.0, 2.0, 3.0]) + 0j,
-                                          chart))
-    conj = fc.conjugate_map(psi, num_points=4)
-    # the plateau keeps its left sample; values at the shared S come from node 1
-    np.testing.assert_allclose(conj.values, [0.0, 1.0, 2.0, 3.0], atol=1e-14)
+    chart = fc.Staircase(alpha=1.0, params=grid.params, values=np.array(values), p0=0.0)
+    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j))
+    potential = fc.PotentialOnCurve(fc.FieldOnCurve.constant(grid, chart, 1.0))
+    for run in (lambda: fc.CrankNicolsonEvolver(psi, None, 1e-3, boundary="periodic"),
+                lambda: fc.CrankNicolsonEvolver(psi, potential, 1e-3, boundary="dirichlet"),
+                lambda: fc.stationary_ground_state(grid, chart, potential),
+                lambda: fc.kernel_step(psi, fc.KernelStep(epsilon=1e-3, damping_eta=1e-2))):
+        with pytest.raises(PlateauError) as info:
+            run()
+        assert info.value.node_index == node
+
+
+def test_kernel_step_needs_a_uniform_chart():
+    # the FFT convolution needs a uniform xi grid: increments uniform to 1e-9
+    # of their mean pass (Koch's cumsum-built chart spreads by about 5e-13 at
+    # level 6), the uneven generator curve's do not
+    grid, chart = uneven_curve(6)
+    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j))
+    with pytest.raises(ConjugacyError, match="uniform chart"):
+        fc.kernel_step(psi, fc.KernelStep(epsilon=1e-2, damping_eta=1e-2))
+    grid = fc.build_koch(6)
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    h = chart.increments
+    assert 0 < h.max() - h.min() <= 1e-9 * h.mean()
+    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j))
+    out = fc.kernel_step(psi, fc.KernelStep(epsilon=1e-2, damping_eta=1e-2))
+    np.testing.assert_allclose(out.values, 1.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_probability_conserved_on_an_uneven_chart(boundary):
+    # chart increments that spread 58x no longer cost conservation: H lives on
+    # them, with nothing resampled, so 500 steps under a harmonic V drift by
+    # roundoff only, within max(1e-12, r N eps) (measured 3.4e-14 and 3.9e-14
+    # against a bound of 5e-10; an interpolating xi grid drifted by 3.8e-5)
+    grid, chart = uneven_curve(10)
+    total = chart.total
+    psi = fc.gaussian_packet(grid, chart, center=0.5 * total, sigma=total / 12.0,
+                             k0=6.0 * math.pi / total, periodic=boundary == "periodic")
+    ev = fc.CrankNicolsonEvolver(psi, _centered_harmonic(grid, chart), d_tau=1e-4,
+                                 boundary=boundary)
+    p0 = fc.total_probability(ev.snapshot())
+    ev.step(500)
+    drift = abs(fc.total_probability(ev.snapshot()) - p0)
+    assert drift <= max(1e-12, dispersion_r(ev) * 500 * np.finfo(float).eps), drift
+
+
+def _named_curve(name):
+    """Grid and chart of "koch<level>" (at the Koch dimension) or "uneven<level>"."""
+    if name.startswith("uneven"):
+        return uneven_curve(int(name[len("uneven"):]))
+    grid = fc.build_koch(int(name[len("koch"):]))
+    return grid, fc.build_staircase(grid, KOCH_DIM)
+
+
+def _continuity_defect(theta0, theta1, chart, d_tau, periodic):
+    """|theta'|^2 - |theta|^2 + d_tau (J_(j+1/2) - J_(j-1/2)) / w_j at each unknown.
+
+    J_(j+1/2) = (hbar / (m h_j)) Im(conj(tb_j) tb_(j+1)) with tb the midpoint
+    state; periodic grids wrap J at the seam, and Dirichlet ones hold
+    theta = 0 at both ends.
+    """
+    h = chart.increments
+    keep = slice(0, -1) if periodic else slice(None)
+    bar = 0.5 * (theta0[keep] + theta1[keep])
+    nxt = np.roll(bar, -1) if periodic else bar[1:]
+    flux = (CONST.hbar / (CONST.mass * h)) * np.imag(np.conj(bar[:len(h)]) * nxt)
+    if periodic:
+        div = (flux - np.roll(flux, 1)) / (0.5 * (np.roll(h, 1) + h))
+    else:
+        div = np.diff(flux) / (0.5 * (h[:-1] + h[1:]))
+        keep = slice(1, -1)
+    return np.abs(theta1[keep]) ** 2 - np.abs(theta0[keep]) ** 2 + d_tau * div
+
+
+@pytest.mark.parametrize("modulation", [None, lambda tau: 1.0 + 40.0 * tau],
+                         ids=["static", "ramp"])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("curve", ["koch5", "koch7", "uneven10"])
+def test_cayley_step_obeys_the_discrete_continuity_law(curve, boundary, modulation):
+    # theta' - theta = -i (d_tau / hbar) H tb with H real and tridiagonal, so
+    # each step balances the density change at every node exactly against
+    # the flux of the discrete current; each step takes V at its start tau,
+    # so a time-dependent V drops out too.  What is left is roundoff,
+    # within c eps r max|theta|^2 with c = 8 (measured up to 4.7)
+    grid, chart = _named_curve(curve)
+    periodic = boundary == "periodic"
+    total = chart.total
+    psi = fc.gaussian_packet(grid, chart, center=0.5 * total, sigma=total / 12.0,
+                             k0=6.0 * math.pi / total, periodic=periodic)
+    potential = fc.PotentialOnCurve(_centered_harmonic(grid, chart).field,
+                                    time_dependence=modulation)
+    ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-4, boundary=boundary)
+    bound = 8.0 * np.finfo(float).eps * dispersion_r(ev)
+    for _ in range(5):
+        before = ev.snapshot().values
+        after = ev.step().snapshot().values
+        defect = _continuity_defect(before, after, chart, ev.d_tau, periodic)
+        assert np.max(np.abs(defect)) <= bound * np.max(np.abs(before)) ** 2
+
+
+@pytest.mark.parametrize("curve", ["koch5", "uneven10"])
+def test_stepped_h_is_hamiltonian_apply(curve):
+    # W^-1 K is calculus.laplacian's interior stencil times -hbar^2 / (2m), so
+    # one Dirichlet step satisfies i hbar (psi' - psi) / d_tau = H psi_bar at
+    # every interior node, with H the operator of hamiltonian_apply, to
+    # within c eps (1 + r) max|psi| / d_tau with c = 8 (measured up to 5.2)
+    grid, chart = _named_curve(curve)
+    total = chart.total
+    potential = _centered_harmonic(grid, chart)
+    psi = fc.gaussian_packet(grid, chart, center=0.5 * total, sigma=total / 12.0,
+                             k0=6.0 * math.pi / total)
+    ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-4, boundary="dirichlet")
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        before = ev.snapshot()
+        after = ev.step().snapshot()
+        mid = before.with_values(0.5 * (before.values + after.values))
+        lhs = 1j * CONST.hbar * (after.values - before.values) / ev.d_tau
+        rhs = fc.hamiltonian_apply(mid, potential).values
+        bound = 8.0 * eps * (1.0 + dispersion_r(ev)) * np.max(np.abs(before.values)) / ev.d_tau
+        assert np.max(np.abs(lhs - rhs)[1:-1]) <= bound
 
 
 def test_kernel_step_on_koch(koch5):
