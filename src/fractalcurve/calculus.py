@@ -143,7 +143,10 @@ def falpha_derivative(f: FieldOnCurve) -> FieldOnCurve:
     s = f.chart.values
     y = f.values
     out = np.empty_like(y, dtype=complex if f.is_complex else float)
-    out[1:-1] = (y[2:] - y[:-2]) / (s[2:] - s[:-2])
+    # the differences go straight into out: a temporary as long as y
+    # would be the largest allocation of a continuity check
+    np.subtract(y[2:], y[:-2], out=out[1:-1])
+    out[1:-1] /= s[2:] - s[:-2]
     if len(y) >= 3:
         k = min(4, len(y))
         out[0] = _apply_stencil(finite_difference_weights(s[:k], s[0], 1), y[:k])

@@ -520,8 +520,11 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
 
     # one pass: each snapshot is sent to the writer (evolve only) and folded
     # into the checks, then dropped once it leaves the window that the
-    # continuity rows need
+    # continuity rows need; of psi0 only its tau and, for the ground state's
+    # drift, its modulus are kept
     ev = CrankNicolsonEvolver(psi0, potential, d_tau, boundary=boundary)
+    tau0, modulus0 = psi0.tau, (np.abs(psi0.values) if ground else None)
+    del psi0
     window = deque(maxlen=3)  # the last three (step, snapshot) pairs
     rows, drifts, phase, done = [], [], 0.0, 0
     writer = _snapshot_writer(ev.template) if write_snapshots else contextlib.nullcontext()
@@ -533,12 +536,12 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
             if pw_params is not None and window:
                 phase += _phase_increment(window[-1][1], psi)
             if ground:
-                drifts.append(float(np.max(np.abs(np.abs(psi.values) - np.abs(psi0.values)))))
+                drifts.append(float(np.max(np.abs(np.abs(psi.values) - modulus0))))
             window.append((done, psi))
             if len(window) == 3 and window[1][0] - window[0][0] == done - window[1][0]:
                 (_, pa), (_, pb), _ = window
                 res = continuity_residual(pa, pb, psi).values
-                l2 = math.sqrt(float(falpha_integral(pb.field.with_values(res.astype(float) ** 2))))
+                l2 = math.sqrt(float(falpha_integral(pb.field.with_values(res ** 2))))
                 rows.append((pb.tau, float(np.max(res)), l2, total_probability(pb)))
             if done == steps:
                 break
@@ -559,7 +562,7 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
         derived["final_wall_time"] = float(ts.t_of(ev.tau))
 
     if pw_params is not None:
-        beta_measured = -phase / (psi.tau - psi0.tau)
+        beta_measured = -phase / (psi.tau - tau0)
         beta_expected = pw_params.beta
         io.write_json(out_dir / "phase_check.json", {
             "beta_measured": beta_measured,

@@ -7,6 +7,8 @@ import numpy as np
 from .calculus import FieldOnCurve, falpha_derivative
 from .dynamics import WaveFunction, _snapshot_spacing
 
+_CHUNK = 1 << 14  # values of psi* dpsi formed at a time
+
 __all__ = [
     "probability_density",
     "probability_current",
@@ -29,17 +31,22 @@ def probability_current(psi: WaveFunction) -> FieldOnCurve:
     """
     hbar, m = psi.constants.hbar, psi.constants.mass
     dpsi = falpha_derivative(psi.field).values
-    return psi.field.with_values((hbar / m) * np.imag(np.conj(psi.values) * dpsi))
+    # psi* dpsi in place, a chunk at a time: a conjugate as long as the grid
+    # would be the largest temporary of a continuity check
+    for start in range(0, len(dpsi), _CHUNK):
+        part = dpsi[start:start + _CHUNK]
+        np.multiply(np.conj(psi.values[start:start + _CHUNK]), part, out=part)
+    return psi.field.with_values((hbar / m) * dpsi.imag)
 
 
 def continuity_residual(psi_prev: WaveFunction, psi_mid: WaveFunction,
                         psi_next: WaveFunction) -> FieldOnCurve:
     """Pointwise |d(rho)/d(tau) + dJ/dS| from three aligned snapshots."""
     d_tau = _snapshot_spacing(psi_prev, psi_mid, psi_next)
-    rho_prev = np.abs(psi_prev.values) ** 2
-    rho_next = np.abs(psi_next.values) ** 2
-    drho = (rho_next - rho_prev) / (2.0 * d_tau)
+    # dJ first and each density inside one expression: fewer arrays as long
+    # as the grid are alive at once
     dj = falpha_derivative(probability_current(psi_mid)).values
+    drho = (np.abs(psi_next.values) ** 2 - np.abs(psi_prev.values) ** 2) / (2.0 * d_tau)
     return psi_mid.field.with_values(np.abs(drho + dj))
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 import weakref
 from io import StringIO
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fractalcurve as fc
-from fractalcurve import cli, io
+from fractalcurve import cli, dynamics, io
 from fractalcurve.errors import EstimationFailureError, SolverError
 
 from conftest import KOCH_DIM
@@ -639,6 +640,58 @@ def test_in_process_writes_match_forked_writes(tmp_path, monkeypatch):
     assert names == sorted(p.name for p in in_process.iterdir())
     for name in names:
         assert (forked / name).read_bytes() == (in_process / name).read_bytes()
+
+
+def test_evolve_forks_its_writer_while_no_stepping_thread_is_alive(tmp_path, monkeypatch):
+    # a split evolver's second thread lives inside one step(n) call only, so
+    # the snapshot writer is forked, and every step call returns, with this
+    # thread alone
+    monkeypatch.setattr(dynamics, "_N_SPLIT", 16)
+    at_fork, after_steps = [], []
+    fork = os.fork
+
+    def counted_fork():
+        at_fork.append(threading.active_count())
+        return fork()
+
+    two_blocks = dynamics.CrankNicolsonEvolver._run_two_blocks
+
+    def counted_two_blocks(self, n, solution):
+        two_blocks(self, n, solution)
+        after_steps.append(threading.active_count())
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(dynamics.CrankNicolsonEvolver, "_run_two_blocks", counted_two_blocks)
+    cfg = write_cfg(tmp_path / "cfg.json", {**_SNAPSHOT_RUN, "output": str(tmp_path / "out")})
+    assert run_cli(["evolve", cfg]) == 0
+    assert at_fork == [1]
+    assert after_steps == [1] * 4
+    assert_no_child_process()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_split_continuity_outputs_do_not_depend_on_the_cpu_count(tmp_path):
+    # Koch L8 has 65535 Dirichlet unknowns, stepped as two blocks on two
+    # threads; pinned to one CPU the threads take turns, and the block
+    # count, hence every output byte, stays the same
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "curve": {"kind": "koch", "level": 8}, "alpha_space": KOCH_DIM,
+        "run": {"d_tau": 1e-4, "steps": 20, "snapshot_stride": 5, "boundary": "dirichlet",
+                "initial": {"kind": "harmonic_ground"},
+                "potential": {"kind": "harmonic", "omega": 90.0, "center_frac": 0.5}}})
+    outputs = {}
+    for pinned in (True, False):
+        out = tmp_path / ("pinned" if pinned else "free")
+        pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if pinned else ""
+        cpus = run_python(f"import os\n{pin}from fractalcurve.cli import main\n"
+                          f"assert main(['continuity', {str(cfg)!r}, '--output-dir', "
+                          f"{str(out)!r}]) == 0\nprint(len(os.sched_getaffinity(0)))")
+        assert not pinned or cpus == "1"
+        outputs[pinned] = {p.name: p.read_bytes() for p in out.iterdir()}
+    # the xi points are the 65537 nodes, the Dirichlet ends among them
+    assert json.loads(outputs[True]["manifest.json"])["derived"]["xi_points"] - 2 \
+        >= dynamics._N_SPLIT
+    assert outputs[True] == outputs[False]
 
 
 def test_output_root_env(tmp_path, monkeypatch):

@@ -1,9 +1,12 @@
 import cmath
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from importlib.metadata import version
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -184,12 +187,24 @@ def _dense_kinetic(chart, periodic):
     return k / np.outer(sqrt_w, sqrt_w), sqrt_w
 
 
-@pytest.mark.parametrize("n", [3, 64, pytest.param(None, id="uneven")])
+def _split_at(monkeypatch, split):
+    """With ``split``, grids of at least 16 unknowns are stepped as two blocks."""
+    if split:
+        monkeypatch.setattr(dynamics, "_N_SPLIT", 16)
+
+
+@pytest.mark.parametrize("n,split", [
+    pytest.param(3, False, id="3"), pytest.param(64, False, id="64"),
+    pytest.param(None, False, id="uneven"), pytest.param(64, True, id="64-split"),
+    pytest.param(None, True, id="uneven-split")])
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-def test_crank_nicolson_step_matches_dense_oracle(boundary, n):
+def test_crank_nicolson_step_matches_dense_oracle(boundary, n, split, monkeypatch):
     # five steps, each against the textbook form A(tau)^-1 B(tau) phi with
     # the explicit B = I - i lam H and H = W^-1/2 K W^-1/2 + V built densely
-    # from the chart, under a static and a time-dependent potential
+    # from the chart, under a static and a time-dependent potential; split,
+    # the grid is stepped as two blocks joined by the cut correction (the
+    # uneven Dirichlet grid's 63 unknowns make blocks of 31 and 32)
+    _split_at(monkeypatch, split)
     psi, static = _harmonic_state(n, boundary)
     periodic = boundary == "periodic"
     d_tau = 0.05 if n is not None else 1e-4
@@ -201,6 +216,7 @@ def test_crank_nicolson_step_matches_dense_oracle(boundary, n):
         potential = fc.PotentialOnCurve(static.field, time_dependence=modulation)
         ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=d_tau, boundary=boundary)
         assert n is None or len(ev.phi) == n
+        assert len(ev._blocks) == 1 + split
         np.testing.assert_allclose(ev.phi, sqrt_w * psi.values[dof], rtol=1e-15)
         for _ in range(5):
             scale = 1.0 if modulation is None else modulation(ev.tau)
@@ -210,6 +226,69 @@ def test_crank_nicolson_step_matches_dense_oracle(boundary, n):
             expect = np.linalg.solve(a, b @ ev.phi)
             ev.step()
             assert np.linalg.norm(ev.phi - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def _split_evolver(monkeypatch, boundary="dirichlet"):
+    """Evolver of a 64-unknown harmonic state, stepped as two blocks of 32."""
+    _split_at(monkeypatch, True)
+    psi, potential = _harmonic_state(64, boundary)
+    ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=0.05, boundary=boundary)
+    assert len(ev._blocks) == 2
+    return ev
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_split_step_leaves_no_thread_alive(monkeypatch, boundary):
+    # the second block's thread lives inside one step(n) call only
+    ev = _split_evolver(monkeypatch, boundary)
+    before = threading.active_count()
+    for n in (1, 3, 0):
+        ev.step(n)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_split_solver_error_in_either_thread_is_raised_by_step(monkeypatch, failing):
+    # a solve that fails in one block's thread stops the other at the
+    # barrier; step() raises the SolverError once both threads are done
+    real = dynamics._lapack()
+    ev = _split_evolver(monkeypatch)
+    ev.step(2)
+
+    def zgttrs(*args, **kwargs):
+        in_worker = threading.current_thread() is not threading.main_thread()
+        if in_worker == (failing == "worker"):
+            return args[5], -6
+        return real.zgttrs(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_lapack",
+                        lambda: SimpleNamespace(zgttrf=real.zgttrf, zgttrs=zgttrs))
+    before = threading.active_count()
+    with pytest.raises(SolverError, match=r"solve failed \(LAPACK info -6\)"):
+        ev.step(3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_split_steps_are_deterministic_under_thread_switching(monkeypatch, boundary):
+    # two split evolvers stepped at once from two threads (five threads on
+    # two cores) with the interpreter switching threads every
+    # microsecond: each block reads the other's cut values only after the
+    # barrier, so every run gives the bits of an undisturbed one
+    reference = _split_evolver(monkeypatch, boundary).step(40).phi
+    evolvers = [_split_evolver(monkeypatch, boundary) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runners = [threading.Thread(target=ev.step, args=(40,)) for ev in evolvers]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(runner.is_alive() for runner in runners)
+    assert all(_same_bits(ev.phi, reference) for ev in evolvers)
 
 
 def _same_bits(a, b):
@@ -879,13 +958,19 @@ def _continuity_defect(theta0, theta1, chart, d_tau, periodic):
 @pytest.mark.parametrize("modulation", [None, lambda tau: 1.0 + 40.0 * tau],
                          ids=["static", "ramp"])
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("curve", ["koch5", "koch7", "uneven10"])
-def test_cayley_step_obeys_the_discrete_continuity_law(curve, boundary, modulation):
+@pytest.mark.parametrize("curve", ["koch5", "koch7", "uneven10", "koch5-split",
+                                   "uneven10-split"])
+def test_cayley_step_obeys_the_discrete_continuity_law(curve, boundary, modulation,
+                                                       monkeypatch):
     # theta' - theta = -i (d_tau / hbar) H tb with H real and tridiagonal, so
     # each step balances the density change at every node exactly against
     # the flux of the discrete current; each step takes V at its start tau,
     # so a time-dependent V drops out too.  What is left is roundoff,
-    # within c eps r max|theta|^2 with c = 8 (measured up to 4.7)
+    # within c eps r max|theta|^2 with c = 8 (measured up to 4.7).  Split
+    # grids are stepped as two blocks, and the law holds at every node, the
+    # cut nodes among them (koch7's 16384 periodic unknowns split as well)
+    curve, split = curve.removesuffix("-split"), curve.endswith("-split")
+    _split_at(monkeypatch, split)
     grid, chart = _named_curve(curve)
     periodic = boundary == "periodic"
     total = chart.total
@@ -894,6 +979,7 @@ def test_cayley_step_obeys_the_discrete_continuity_law(curve, boundary, modulati
     potential = fc.PotentialOnCurve(_centered_harmonic(grid, chart).field,
                                     time_dependence=modulation)
     ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-4, boundary=boundary)
+    assert len(ev._blocks) == 1 + (split or len(ev.phi) >= 1 << 14)
     bound = 8.0 * np.finfo(float).eps * dispersion_r(ev)
     for _ in range(5):
         before = ev.snapshot().values
