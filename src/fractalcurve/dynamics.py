@@ -320,9 +320,9 @@ def _lapack():
 # 262143 / 262144 unknowns 24.6 / 14.5 and 26.3 / 16.2 ns.
 _N_SPLIT = 1 << 14
 
-# the updates after a solve run a chunk of this many values at a time
-# through a held buffer: the chunk's operands stay in cache, and a step
-# allocates no array
+# the updates after a solve, and flow's psi* dpsi, run a chunk of this many
+# values at a time: the chunk's operands stay in cache, and a step, which
+# holds a buffer of this size, allocates no array
 _CHUNK = 1 << 14
 
 
@@ -589,6 +589,15 @@ class CrankNicolsonEvolver:
         if failure:
             raise failure[0]
 
+    @property
+    def dispersion_r(self) -> float:
+        """Dispersion number r = hbar d_tau / (2 m h^2), h the smallest chart increment.
+
+        Each step's linear-solve roundoff grows with r.
+        """
+        h = float(self.template.space_chart.increments.min())
+        return self.constants.hbar * self.d_tau / (2.0 * self.constants.mass * h ** 2)
+
     def snapshot(self) -> WaveFunction:
         """psi at the nodes: theta = phi / sqrt(w), the seam node copied or the ends zeroed."""
         values = np.zeros(self.template.grid.node_count, dtype=complex)
@@ -849,6 +858,90 @@ def gaussian_packet(grid: CurveGrid, space_chart: Staircase, center: float, sigm
                         constants=constants).normalized()
 
 
+def _ground_trial(xi, dof, sqrt_w, v, constants: PhysicalConstants) -> np.ndarray:
+    """A trial for the ground state, in phi = W^1/2 theta on the Dirichlet unknowns ``dof``.
+
+    The box's lowest sine sin(pi (xi - xi_0) / L), times, where V has an
+    interior minimum xi* of finite positive discrete curvature V'', the
+    oscillator Gaussian exp(-sqrt(m V'') / (2 hbar) (xi - xi*)^2), which is
+    the exact ground state of a harmonic V.  Any nonzero trial serves the
+    bracket of :func:`stationary_ground_state`; a better one only makes it
+    narrower.  Overflow and underflow are silent here: an overflowing
+    curvature leaves the sine alone.
+    """
+    with np.errstate(all="ignore"):
+        x = xi[dof] - xi[0]
+        x *= math.pi / (xi[-1] - xi[0])
+        np.sin(x, out=x)
+        j = int(np.argmin(v))
+        if 0 < j < len(v) - 1:
+            h_left, h_right = xi[j] - xi[j - 1], xi[j + 1] - xi[j]
+            curvature = 2.0 * ((v[j + 1] - v[j]) / h_right
+                               - (v[j] - v[j - 1]) / h_left) / (h_left + h_right)
+            rate = np.sqrt(constants.mass * curvature) / (2.0 * constants.hbar)
+            if 0.0 < rate < math.inf:
+                g = xi[dof] - xi[j]
+                g *= g
+                g *= -rate
+                x *= np.exp(g, out=g)
+        x *= sqrt_w
+    return x
+
+
+def _rayleigh_quotient(diag, band, x) -> float:
+    """x^T H x / x^T x for the tridiagonal H of ``diag`` and ``band``, without forming H x.
+
+    numpy's pairwise sums, not BLAS dot products, so the bits do not depend
+    on the BLAS thread count.
+    """
+    with np.errstate(all="ignore"):
+        t = x * x
+        norm = np.sum(t)
+        t *= diag
+        energy = np.sum(t)
+        t = x[:-1] * x[1:]
+        t *= band
+        energy += 2.0 * np.sum(t)
+        return float(energy / norm)
+
+
+# The ground state's bracket is padded by this many ulps of |d|_max + 2 |e|_max,
+# a bound on the 2-norm of H.  A Sturm count of H at x is the exact count of
+# an H whose d - x and e are off by a few ulps (Demmel, Applied Numerical
+# Linear Algebra, 1997, sec. 5.3), which by Weyl's inequality moves the
+# eigenvalues by a few ulps of that bound; and the Rayleigh quotient of an
+# exact eigenvector rounds by up to 0.4 of an ulp either way (measured at
+# Koch levels 7 and 9, omega = 60 to 1e6; at level 9 the bound is 1.8e11
+# and its ulp 4e-5).  A pad too small costs only the fallback bisection,
+# never the right state, because the count decides.
+_BRACKET_ULPS = 8.0
+
+
+def _ground_bracket(xi, dof, sqrt_w, v, diag, band, constants: PhysicalConstants):
+    """(lo, hi], certified to hold the lowest eigenvalue of H, or None if it is not finite.
+
+    K is positive definite, so lambda_0 > min V over the unknowns; and a
+    trial's Rayleigh quotient is >= lambda_0.  Both ends are padded by
+    ``_BRACKET_ULPS`` ulps of H's norm bound.
+    """
+    with np.errstate(all="ignore"):
+        pad = _BRACKET_ULPS * np.finfo(float).eps * (
+            max(abs(diag.max()), abs(diag.min())) + 2.0 * max(abs(band.max()), abs(band.min())))
+        lo = float(v[dof].min() - pad)
+        hi = _rayleigh_quotient(diag, band, _ground_trial(xi, dof, sqrt_w, v, constants)) + pad
+    return (lo, hi) if 0.0 < hi - lo < math.inf else None
+
+
+def _eigenvalue_count(lapack, diag, band, lo: float, hi: float) -> int:
+    """How many eigenvalues of the tridiagonal H lie in (lo, hi], or -1 if ``dstebz`` fails.
+
+    Bisection to a tolerance of the bracket's width only counts: a few
+    Sturm counts, whatever the count.
+    """
+    m, _, _, _, info = lapack.dstebz(diag, band, 1, lo, hi, 0, 0, hi - lo, "B")
+    return m if info == 0 else -1
+
+
 def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
                             potential: PotentialOnCurve,
                             constants: PhysicalConstants = PhysicalConstants()) -> WaveFunction:
@@ -858,18 +951,30 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
     Crank-Nicolson operator up to the eigensolver's residual.  Each step
     turns that residual's components in the low modes by their own phase
     rates, so |psi| drifts by a roundoff that grows with the step count
-    and the dispersion number r: within r * steps * eps (measured 0.04 to
-    0.50 of it over 100 steps at Koch levels 6-9), while the total
-    probability drifts by only about 1e-13 at level 9.
+    and the dispersion number r: within r * steps * eps over 100 steps at
+    Koch levels 6-9, while the total probability drifts by only about
+    1e-13 at level 9.
+
+    The lowest eigenvalue is found by ``dstebz`` bisection on the bracket
+    of :func:`_ground_bracket` when that holds exactly one eigenvalue, and
+    from H's Gershgorin interval otherwise; ``dstein`` inverse iteration
+    then gives its vector.
     """
     zero = WaveFunction(FieldOnCurve.constant(grid, space_chart, 0.0 + 0.0j),
                         constants=constants)
     dof, sqrt_w, kinetic, band, v = _xi_hamiltonian(zero, potential, False)
     diag = kinetic + v[dof]
-    # what eigh_tridiagonal(select="i", select_range=(0, 0)) runs: bisection
-    # for the lowest eigenvalue, then inverse iteration for its vector
     lapack = _lapack()
-    m, w, iblock, isplit, info = lapack.dstebz(diag, band, 2, 0.0, 0.0, 1, 1, 0.0, "B")
+    # at Koch level 9 the Gershgorin interval spans 1.8e11, about 52
+    # bisections of one Sturm count each; a bracket of one eigenvalue takes
+    # about 20, and a count comes first so that a bracket of many never costs
+    # one bisection each
+    bracket = _ground_bracket(space_chart.values, dof, sqrt_w, v, diag, band, constants)
+    if bracket is not None and _eigenvalue_count(lapack, diag, band, *bracket) == 1:
+        m, w, iblock, isplit, info = lapack.dstebz(diag, band, 1, *bracket, 0, 0, 0.0, "B")
+    else:
+        # what eigh_tridiagonal(select="i", select_range=(0, 0)) runs
+        m, w, iblock, isplit, info = lapack.dstebz(diag, band, 2, 0.0, 0.0, 1, 1, 0.0, "B")
     if info == 0:
         vecs, info = lapack.dstein(diag, band, w[:m], iblock, isplit)
     if info != 0:

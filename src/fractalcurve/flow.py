@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import FieldOnCurve, falpha_derivative
-from .dynamics import WaveFunction, _snapshot_spacing
-
-_CHUNK = 1 << 14  # values of psi* dpsi formed at a time
+from .dynamics import _CHUNK, WaveFunction, _snapshot_spacing
 
 __all__ = [
     "probability_density",

@@ -47,12 +47,14 @@ class Staircase:
     parameter ``p0`` to ``params[i]``; S(p0) = 0 exactly, S <= 0 left of
     p0 and S >= 0 right of it.  Evaluation interpolates linearly between
     knots; the inverse maps plateau values to their left endpoint.
+    ``increments`` holds the successive differences of ``values``.
     """
 
     alpha: float
     params: np.ndarray
     values: np.ndarray
     p0: float
+    increments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.params = np.ascontiguousarray(self.params, dtype=float)
@@ -61,7 +63,8 @@ class Staircase:
             raise ValueError("params and values must be matching 1-D arrays")
         if np.any(np.diff(self.params) <= 0):
             raise ValueError("staircase knots must be strictly increasing in v")
-        if np.any(np.diff(self.values) < 0):
+        self.increments = np.diff(self.values)
+        if np.any(self.increments < 0):
             raise ValueError("staircase values must be non-decreasing")
         if not (self.params[0] <= self.p0 <= self.params[-1]):
             raise ValueError("p0 must lie inside the knot span")
@@ -69,13 +72,10 @@ class Staircase:
             raise ValueError("S(p0) must be exactly zero")
         self.params.flags.writeable = False
         self.values.flags.writeable = False
+        self.increments.flags.writeable = False
 
     def __call__(self, v):
         return np.interp(v, self.params, self.values)
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
 
     @property
     def total(self) -> float:

@@ -17,12 +17,6 @@ def fit_slope(h, err):
     return float(np.polyfit(np.log(np.asarray(h)), np.log(np.asarray(err)), 1)[0])
 
 
-def dispersion_r(ev):
-    """Crank-Nicolson dispersion number r = hbar d_tau / (2 m min h^2) of an evolver."""
-    h = np.min(ev.template.space_chart.increments)
-    return ev.constants.hbar * ev.d_tau / (2.0 * ev.constants.mass * h ** 2)
-
-
 def uneven_curve(level):
     """Generator curve of scales 0.6 and 0.4 on the unit segment and its alpha = 1 chart.
 

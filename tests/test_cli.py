@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 import weakref
 from io import StringIO
@@ -253,6 +254,32 @@ def test_evolution_holds_a_three_snapshot_window(tmp_path, monkeypatch, initial)
     })
     assert run_cli(["evolve", cfg]) == 0
     assert len(counts) == 11 and max(counts) <= 4
+
+
+def test_run_memory_does_not_grow_with_the_step_count(tmp_path):
+    # only a few floats per snapshot accumulate (its continuity row and
+    # modulus drift, and at the end their CSV text): measured about 400 B
+    # per extra snapshot, against 16.4 KB for one snapshot's values at Koch
+    # level 5, so keeping even a tenth of the snapshots would break the bound
+    def traced_peak(steps):
+        cfg = write_cfg(tmp_path / f"cfg{steps}.json", {
+            "curve": {"kind": "koch", "level": 5},
+            "alpha_space": KOCH_DIM,
+            "run": {"d_tau": 1e-4, "steps": steps, "snapshot_stride": 1,
+                    "initial": {"kind": "harmonic_ground"},
+                    "potential": {"kind": "harmonic", "omega": 60.0}},
+            "output": str(tmp_path / f"out{steps}"),
+        })
+        tracemalloc.start()
+        try:
+            assert run_cli(["continuity", cfg]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(20)  # loads LAPACK and fills the caches outside the comparison
+    short, long = traced_peak(20), traced_peak(200)
+    assert long - short <= (200 - 20) * 1024, (short, long)
 
 
 def test_continuity_subcommand_writes_no_snapshots(tmp_path):

@@ -22,7 +22,7 @@ from fractalcurve.errors import (
     SolverError,
 )
 
-from conftest import KOCH_DIM, dispersion_r, fit_slope, uneven_curve, wrapped_gaussian
+from conftest import KOCH_DIM, fit_slope, uneven_curve, wrapped_gaussian
 
 CONST = fc.PhysicalConstants()
 
@@ -296,8 +296,9 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _centered_harmonic(grid, chart, omega=60.0):
-    center = 0.5 * (chart.values[0] + chart.values[-1])
+def _harmonic(grid, chart, omega=60.0, center_frac=0.5):
+    """V = m omega^2 (S - c)^2 / 2, with c at ``center_frac`` of the chart's span."""
+    center = chart.values[0] + center_frac * (chart.values[-1] - chart.values[0])
     return fc.PotentialOnCurve(fc.FieldOnCurve.from_chart_function(
         grid, chart, lambda s: 0.5 * CONST.mass * omega ** 2 * (s - center) ** 2))
 
@@ -311,7 +312,7 @@ def test_flapack_solves_match_scipy_linalg_lapack(koch5, monkeypatch, boundary):
     from scipy.linalg import lapack as public
 
     grid, chart = koch5
-    psi, potential = wrapped_gaussian(grid, chart), _centered_harmonic(grid, chart)
+    psi, potential = wrapped_gaussian(grid, chart), _harmonic(grid, chart)
     dof, _, kinetic, off, v = dynamics._xi_hamiltonian(psi, potential, boundary == "periodic")
     lam = 0.5e-3 / CONST.hbar
     a_diag = 1.0 + 1j * lam * (kinetic + v[dof])
@@ -329,21 +330,138 @@ def test_flapack_solves_match_scipy_linalg_lapack(koch5, monkeypatch, boundary):
     assert _same_bits(ev.phi, ev_ref.phi)
 
 
-def test_ground_state_is_eigh_tridiagonal_of_the_same_h(koch5):
-    # dstebz then dstein is what eigh_tridiagonal(select="i") runs, so the
-    # ground state is bit for bit its lowest eigenvector of the same H
-    from scipy.linalg import eigh_tridiagonal
-
-    grid, chart = koch5
-    potential = _centered_harmonic(grid, chart)
-    gs = fc.stationary_ground_state(grid, chart, potential)
+def _ground_state_h(grid, chart, potential):
+    """The Dirichlet unknowns, sqrt(w), H's diagonal and band, and V at the nodes."""
     zero = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 0j))
     dof, sqrt_w, kinetic, off, v = dynamics._xi_hamiltonian(zero, potential, False)
-    _, vecs = eigh_tridiagonal(kinetic + v[dof], off, select="i", select_range=(0, 0))
+    return dof, sqrt_w, kinetic + v[dof], off, v
+
+
+def _eigh_ground_state(grid, chart, potential):
+    """The oracle: eigh_tridiagonal's lowest eigenpair of the same H, as (lambda, state)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    dof, sqrt_w, diag, off, _ = _ground_state_h(grid, chart, potential)
+    lam, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     theta = np.zeros(grid.node_count, dtype=complex)
     theta[dof] = vecs[:, 0] / sqrt_w
-    expect = fc.WaveFunction(fc.FieldOnCurve(grid, theta, chart)).normalized()
-    assert _same_bits(gs.values, expect.values)
+    return lam[0], fc.WaveFunction(fc.FieldOnCurve(grid, theta, chart)).normalized()
+
+
+def _bisection_tolerance(diag, off):
+    """dstebz's tolerance at abstol 0: an ulp of its Gershgorin bound on |H|.
+
+    Each bisection stops on an interval narrower than this, so two of them
+    that start from different intervals agree within twice this.
+    """
+    radius = np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
+    return np.finfo(float).eps * max(abs(np.min(diag - radius)), abs(np.max(diag + radius)))
+
+
+# the ground state's LAPACK calls on each path: ("dstebz", range, whether
+# it only counts, with the bracket's width as its tolerance) or ("dstein",)
+_BRACKET_CALLS = [("dstebz", 1, True), ("dstebz", 1, False), ("dstein",)]
+_FALLBACK_CALLS = [("dstebz", 1, True), ("dstebz", 2, False), ("dstein",)]
+
+
+def _recorded_ground_state_lapack(monkeypatch):
+    """The ground state's LAPACK calls from now on, and the eigenvalues each ``dstebz`` returns."""
+    real = dynamics._lapack()
+    calls, eigenvalues = [], []
+
+    def dstebz(d, e, select, vl, vu, il, iu, tol, order):
+        m, w, *rest = real.dstebz(d, e, select, vl, vu, il, iu, tol, order)
+        calls.append(("dstebz", select, tol > 0.0))
+        eigenvalues.append(w[:m].copy())
+        return (m, w, *rest)
+
+    def dstein(*args):
+        calls.append(("dstein",))
+        return real.dstein(*args)
+
+    monkeypatch.setattr(dynamics, "_lapack", lambda: SimpleNamespace(dstebz=dstebz, dstein=dstein))
+    return calls, eigenvalues
+
+
+@pytest.mark.parametrize("center_frac", [0.5, 0.0], ids=["bracket", "gershgorin"])
+def test_flapack_ground_state_matches_scipy_linalg_lapack(koch5, monkeypatch, center_frac):
+    # dstebz on the certified bracket (a centred V) and on the Gershgorin
+    # interval (a wall minimum), then dstein, give the same bits through
+    # the private module and through scipy.linalg.lapack
+    from scipy.linalg import lapack as public
+
+    grid, chart = koch5
+    potential = _harmonic(grid, chart, center_frac=center_frac)
+    gs = fc.stationary_ground_state(grid, chart, potential)
+    monkeypatch.setattr(dynamics, "_lapack", lambda: public)
+    assert _same_bits(gs.values, fc.stationary_ground_state(grid, chart, potential).values)
+
+
+@pytest.mark.parametrize("omega", [1.0, 60.0, 200.0, 1e4])
+def test_ground_state_agrees_with_eigh_tridiagonal(koch5, monkeypatch, omega):
+    # an independent oracle: the lowest eigenpair from eigh_tridiagonal's
+    # Gershgorin-interval bisection.  lambda agrees within twice dstebz's
+    # tolerance; the vectors, both from dstein, agree to roundoff (measured
+    # 1 - |<v, v_ref>| <= 9e-16 on 945 harmonic configs at Koch levels 3-7)
+    grid, chart = koch5
+    potential = _harmonic(grid, chart, omega)
+    lam_ref, expect = _eigh_ground_state(grid, chart, potential)
+    _, eigenvalues = _recorded_ground_state_lapack(monkeypatch)
+    gs = fc.stationary_ground_state(grid, chart, potential)
+    dof, sqrt_w, diag, off, _ = _ground_state_h(grid, chart, potential)
+    (lam,) = eigenvalues[-1]
+    assert abs(lam - lam_ref) <= 2.0 * _bisection_tolerance(diag, off)
+    x, y = gs.values[dof] * sqrt_w, expect.values[dof] * sqrt_w
+    assert 1.0 - abs(np.vdot(x, y)) / (np.linalg.norm(x) * np.linalg.norm(y)) <= 1e-13
+
+
+def test_ground_state_bracket_holds_an_exact_eigenvectors_rounded_quotient(koch5, monkeypatch):
+    # with the exact eigenvector as the trial, its computed Rayleigh quotient
+    # may round below lambda_0, so an unpadded bracket (min V, RQ] would
+    # count no eigenvalue; the pad keeps it, so the bracket path runs
+    grid, chart = koch5
+    real = dynamics._lapack()
+    rounded_below = 0
+    for omega in (1.0, 10.0, 30.0, 60.0, 100.0, 200.0, 1e3, 1e4):
+        potential = _harmonic(grid, chart, omega)
+        lam_ref, expect = _eigh_ground_state(grid, chart, potential)
+        dof, sqrt_w, diag, off, v = _ground_state_h(grid, chart, potential)
+        exact = expect.values[dof].real * sqrt_w
+        quotient = dynamics._rayleigh_quotient(diag, off, exact)
+        lo = float(np.min(v[dof]))
+        unpadded, *_ = real.dstebz(diag, off, 1, lo, quotient, 0, 0, quotient - lo, "B")
+        rounded_below += unpadded == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_ground_trial", lambda *args: exact.copy())
+            calls, eigenvalues = _recorded_ground_state_lapack(patch)
+            gs = fc.stationary_ground_state(grid, chart, potential)
+        assert calls == _BRACKET_CALLS, omega
+        (lam,) = eigenvalues[-1]
+        assert abs(lam - lam_ref) <= 2.0 * _bisection_tolerance(diag, off), omega
+        assert np.max(np.abs(gs.values - expect.values)) <= 1e-12 * np.max(np.abs(expect.values))
+    # rounding goes either way: 4 of these 8 round below at Koch level 5
+    assert rounded_below > 0
+
+
+@pytest.mark.parametrize("case", ["oscillator", "constant", "wall"])
+def test_ground_state_calls_bracket_or_gershgorin_bisection(koch5, monkeypatch, case):
+    # a centred V's oscillator trial brackets lambda_0 alone; a constant
+    # trial (its quotient lies far above lambda_1) and a wall minimum of V
+    # (the sine's bracket holds several eigenvalues) take the Gershgorin
+    # interval's bisection, whose state is the oracle's to the bit
+    grid, chart = koch5
+    potential = _harmonic(grid, chart, center_frac=0.0 if case == "wall" else 0.5)
+    _, expect = _eigh_ground_state(grid, chart, potential)
+    if case == "constant":
+        monkeypatch.setattr(dynamics, "_ground_trial",
+                            lambda xi, dof, sqrt_w, v, constants: np.ones(len(sqrt_w)))
+    calls, eigenvalues = _recorded_ground_state_lapack(monkeypatch)
+    gs = fc.stationary_ground_state(grid, chart, potential)
+    if case == "oscillator":
+        assert calls == _BRACKET_CALLS and len(eigenvalues[0]) == 1
+    else:
+        assert calls == _FALLBACK_CALLS and len(eigenvalues[0]) > 1
+        assert _same_bits(gs.values, expect.values)
 
 
 def test_missing_lapack_extension_names_the_scipy_version(no_flapack):
@@ -387,7 +505,7 @@ def test_probability_drift_within_dispersion_bound(level, steps):
                                  sigma=total / 12.0, k0=6.0 * math.pi / total,
                                  periodic=periodic)
         ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-4, boundary=boundary)
-        r = dispersion_r(ev)
+        r = ev.dispersion_r
         p0 = fc.total_probability(ev.snapshot())
         dof = slice(None, -1) if periodic else slice(1, -1)
         theta0 = ev.snapshot().values[dof]
@@ -408,8 +526,8 @@ def test_readme_quickstart_drift_within_dispersion_bound(capsys):
     exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), scope)
     drift = float(capsys.readouterr().out.split()[-1])
     assert drift == fc.total_probability(scope["out"]) - fc.total_probability(scope["psi"])
-    r = dispersion_r(fc.CrankNicolsonEvolver(scope["psi"], None, scope["d_tau"],
-                                             boundary="periodic"))
+    r = fc.CrankNicolsonEvolver(scope["psi"], None, scope["d_tau"],
+                                boundary="periodic").dispersion_r
     assert abs(drift) <= r * scope["steps"] * np.finfo(float).eps, (r, drift)
 
 
@@ -512,7 +630,7 @@ def test_harmonic_ground_state_is_stationary():
                 grid, chart, lambda s: 0.5 * CONST.mass * omega ** 2 * (s - center) ** 2))
             gs = fc.stationary_ground_state(grid, chart, potential)
             ev = fc.CrankNicolsonEvolver(gs, potential, d_tau=1e-4, boundary="dirichlet")
-            r = dispersion_r(ev)
+            r = ev.dispersion_r
             drift = 0.0
             for _ in range(10):
                 ev.step(10)
@@ -919,12 +1037,24 @@ def test_probability_conserved_on_an_uneven_chart(boundary):
     total = chart.total
     psi = fc.gaussian_packet(grid, chart, center=0.5 * total, sigma=total / 12.0,
                              k0=6.0 * math.pi / total, periodic=boundary == "periodic")
-    ev = fc.CrankNicolsonEvolver(psi, _centered_harmonic(grid, chart), d_tau=1e-4,
+    ev = fc.CrankNicolsonEvolver(psi, _harmonic(grid, chart), d_tau=1e-4,
                                  boundary=boundary)
     p0 = fc.total_probability(ev.snapshot())
     ev.step(500)
     drift = abs(fc.total_probability(ev.snapshot()) - p0)
-    assert drift <= max(1e-12, dispersion_r(ev) * 500 * np.finfo(float).eps), drift
+    assert drift <= max(1e-12, ev.dispersion_r * 500 * np.finfo(float).eps), drift
+
+
+def test_dispersion_r_uses_the_smallest_chart_increment():
+    # the uneven chart's increments are its chord lengths 0.6^k 0.4^(6 - k),
+    # the smallest 0.4^6, while the mean increment is 1 / 64
+    grid, chart = uneven_curve(6)
+    constants = fc.PhysicalConstants(hbar=2.0, mass=3.0)
+    psi = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 1.0 + 0j), constants=constants)
+    ev = fc.CrankNicolsonEvolver(psi, None, d_tau=1e-3)
+    assert ev.dispersion_r == pytest.approx(2.0 * 1e-3 / (2.0 * 3.0 * 0.4 ** 12), rel=1e-12)
+    with pytest.raises(AttributeError):
+        ev.dispersion_r = 1.0
 
 
 def _named_curve(name):
@@ -976,11 +1106,11 @@ def test_cayley_step_obeys_the_discrete_continuity_law(curve, boundary, modulati
     total = chart.total
     psi = fc.gaussian_packet(grid, chart, center=0.5 * total, sigma=total / 12.0,
                              k0=6.0 * math.pi / total, periodic=periodic)
-    potential = fc.PotentialOnCurve(_centered_harmonic(grid, chart).field,
+    potential = fc.PotentialOnCurve(_harmonic(grid, chart).field,
                                     time_dependence=modulation)
     ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-4, boundary=boundary)
     assert len(ev._blocks) == 1 + (split or len(ev.phi) >= 1 << 14)
-    bound = 8.0 * np.finfo(float).eps * dispersion_r(ev)
+    bound = 8.0 * np.finfo(float).eps * ev.dispersion_r
     for _ in range(5):
         before = ev.snapshot().values
         after = ev.step().snapshot().values
@@ -996,7 +1126,7 @@ def test_stepped_h_is_hamiltonian_apply(curve):
     # within c eps (1 + r) max|psi| / d_tau with c = 8 (measured up to 5.2)
     grid, chart = _named_curve(curve)
     total = chart.total
-    potential = _centered_harmonic(grid, chart)
+    potential = _harmonic(grid, chart)
     psi = fc.gaussian_packet(grid, chart, center=0.5 * total, sigma=total / 12.0,
                              k0=6.0 * math.pi / total)
     ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=1e-4, boundary="dirichlet")
@@ -1007,7 +1137,7 @@ def test_stepped_h_is_hamiltonian_apply(curve):
         mid = before.with_values(0.5 * (before.values + after.values))
         lhs = 1j * CONST.hbar * (after.values - before.values) / ev.d_tau
         rhs = fc.hamiltonian_apply(mid, potential).values
-        bound = 8.0 * eps * (1.0 + dispersion_r(ev)) * np.max(np.abs(before.values)) / ev.d_tau
+        bound = 8.0 * eps * (1.0 + ev.dispersion_r) * np.max(np.abs(before.values)) / ev.d_tau
         assert np.max(np.abs(lhs - rhs)[1:-1]) <= bound
 
 

@@ -187,6 +187,16 @@ def test_staircase_validation():
                      values=np.array([0.0, 1.0, 0.5]), p0=0.0)
 
 
+def test_staircase_increments_are_one_frozen_array():
+    # the chart never changes, so its increments are computed once and shared
+    st = fc.build_staircase(fc.build_koch(3), KOCH_DIM)
+    inc = st.increments
+    assert st.increments is inc and not inc.flags.writeable
+    np.testing.assert_array_equal(inc, np.diff(st.values))
+    with pytest.raises(ValueError):
+        inc[0] = 1.0
+
+
 def test_j_of_point():
     g = fc.build_line((0, 0, 0), (1, 0, 0), 10)
     st = fc.build_staircase(g, 1.0, p0=0.0)
