@@ -210,10 +210,19 @@ def _field_context(cfg):
     return build
 
 
-def _physics(cfg) -> PhysicalConstants:
+def _physics(cfg):
+    """The config's constants, and a check ``(chart) -> None`` of H's largest coupling."""
     phys = _section(cfg, "physics", {})
-    return PhysicalConstants(hbar=_number(phys, "hbar", 1.0, positive=True),
-                             mass=_number(phys, "mass", 1.0, positive=True))
+    hbar = _number(phys, "hbar", 1.0, positive=True)
+    mass = _number(phys, "mass", 1.0, positive=True)
+
+    def check_couplings(chart):
+        h = float(chart.increments.min())  # 0 on a plateau, which the evolver rejects
+        _require(h == 0.0 or hbar * hbar / (2.0 * mass) / h / h <= math.sqrt(sys.float_info.max),
+                 "hbar and mass must keep H's largest coupling hbar^2 / (2 mass h^2), h the "
+                 "smallest chart increment, within the square root of the float range")
+
+    return PhysicalConstants(hbar=hbar, mass=mass), check_couplings
 
 
 def _time_set(cfg):
@@ -420,7 +429,7 @@ def cmd_integrate(cfg, out_dir: Path) -> int:
     return 0
 
 
-def _write_piped_snapshots(template, source_fd: int, report_fd: int) -> None:
+def _write_piped_snapshots(grid, chart, source_fd: int, report_fd: int) -> None:
     """The writer child: write each snapshot read from ``source_fd`` until EOF.
 
     A failure is sent to ``report_fd`` as ``"Type: message"``.  The child
@@ -431,13 +440,17 @@ def _write_piped_snapshots(template, source_fd: int, report_fd: int) -> None:
     try:
         # Ctrl-C ends the parent, which then closes the pipe and waits here
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        write = None
         with os.fdopen(source_fd, "rb") as source:
             while True:
                 try:
-                    path, tau, values = pickle.load(source)
+                    path, values = pickle.load(source)
                 except EOFError:
                     break
-                io.write_snapshot_csv(path, template.with_values(values, tau=tau))
+                # built after the first read: a snapshot can fill the pipe, and the
+                # parent's first send would wait while the v,S fields are formatted
+                write = write or io.field_writer(grid, chart)
+                write(path, values)
         code = 0
     except BaseException as exc:
         with contextlib.suppress(BaseException):
@@ -447,23 +460,20 @@ def _write_piped_snapshots(template, source_fd: int, report_fd: int) -> None:
 
 
 @contextlib.contextmanager
-def _snapshot_writer(template):
-    """``write(path, psi)`` for evolve's snapshot CSVs, run in a forked child.
+def _snapshot_writer(grid, chart):
+    """``write(path, values)`` for evolve's snapshot CSVs, run in a forked child.
 
     Formatting a snapshot costs about as much as stepping to the next one,
-    so a child process formats and writes while the parent steps.  Each
-    snapshot's path, tau and values go through a pipe (pickle), and the
-    child writes ``template.with_values(values, tau=tau)``: it shares the
-    template's grid and chart, so :func:`io.write_snapshot_csv` formats the
-    ``v,S`` fields once.  The pipe's backpressure bounds what is in flight
-    to about one snapshot in the pipe and one in the child.  On leaving,
-    the pipe is closed and the child waited for, whatever happened; a
-    failure of the child is raised as a :class:`FractalCurveError` naming
-    its exception.  Without ``os.fork`` (Windows) the snapshots are
-    written in-process.
+    so a child process writes each with one :func:`io.field_writer` on the
+    run's grid and chart while the parent steps.  The path and values go
+    through a pipe (pickle), whose backpressure bounds what is in flight to
+    about one snapshot in the pipe and one in the child.  On leaving, the
+    pipe is closed and the child waited for, whatever happened; a failure of
+    the child is raised as a :class:`FractalCurveError` naming its
+    exception.  Without ``os.fork`` (Windows) the same writer runs in-process.
     """
     if not hasattr(os, "fork"):
-        yield io.write_snapshot_csv
+        yield io.field_writer(grid, chart)
         return
     source_fd, sink_fd = os.pipe()
     report_r, report_w = os.pipe()
@@ -471,15 +481,15 @@ def _snapshot_writer(template):
     if pid == 0:
         os.close(sink_fd)
         os.close(report_r)
-        _write_piped_snapshots(template, source_fd, report_w)
+        _write_piped_snapshots(grid, chart, source_fd, report_w)
     os.close(source_fd)
     os.close(report_w)
     sink = os.fdopen(sink_fd, "wb")
 
-    def write(path, psi):
+    def write(path, values):
         # a child that has left makes this raise BrokenPipeError, and the
         # report read below replaces it
-        pickle.dump((path, psi.tau, psi.values), sink, pickle.HIGHEST_PROTOCOL)
+        pickle.dump((path, values), sink, pickle.HIGHEST_PROTOCOL)
         sink.flush()
 
     try:
@@ -507,12 +517,13 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     _require("xi_points" not in run_cfg,
              "xi_points is no longer a run key: the evolver steps on the curve's nodes")
     field_context = _field_context(cfg)
-    constants = _physics(cfg)
+    constants, check_couplings = _physics(cfg)
     time_set = _time_set(cfg)
     potential_at = _potential(run_cfg, constants)
     kind, initial_at = _initial_state(run_cfg, constants, boundary, potential_at is not None)
 
     grid, alpha, chart = field_context()
+    check_couplings(chart)
     ts = time_set() if time_set else None
     potential = potential_at(grid, chart) if potential_at else None
     psi0, pw_params = initial_at(grid, chart, potential)
@@ -527,12 +538,12 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
     del psi0
     window = deque(maxlen=3)  # the last three (step, snapshot) pairs
     rows, drifts, phase, done = [], [], 0.0, 0
-    writer = _snapshot_writer(ev.template) if write_snapshots else contextlib.nullcontext()
+    writer = _snapshot_writer(grid, chart) if write_snapshots else contextlib.nullcontext()
     with writer as write:
         while True:
             psi = ev.snapshot()
             if write is not None:
-                write(out_dir / f"snapshot_{done:06d}.csv", psi)
+                write(out_dir / f"snapshot_{done:06d}.csv", psi.values)
             if pw_params is not None and window:
                 phase += _phase_increment(window[-1][1], psi)
             if ground:

@@ -240,7 +240,8 @@ class KernelStep:
         return math.sqrt(self.constants.hbar * self.epsilon / self.constants.mass)
 
 
-def _xi_hamiltonian(psi: WaveFunction, potential: PotentialOnCurve | None, periodic: bool):
+def _xi_hamiltonian(chart: Staircase, constants: PhysicalConstants,
+                    potential: PotentialOnCurve | None, periodic: bool):
     """The one discrete H = -hbar^2/(2m) d^2/dxi^2 + V, on the nodes' own chart values xi = S(v).
 
     With the chart increments h_j and the trapezoid weights
@@ -254,8 +255,8 @@ def _xi_hamiltonian(psi: WaveFunction, potential: PotentialOnCurve | None, perio
     V at the nodes.  W^-1 K is :func:`laplacian`'s interior stencil times
     -hbar^2 / (2m), so the evolver steps with :func:`hamiltonian_apply`.
     """
-    _check_plateaus(psi.space_chart)
-    h = psi.space_chart.increments
+    _check_plateaus(chart)
+    h = chart.increments
     dof = slice(0, -1) if periodic else slice(1, -1)
     # edge j joins nodes j and j + 1; on periodic grids the last edge ends
     # on the seam node, the wrap image of node 0
@@ -264,7 +265,7 @@ def _xi_hamiltonian(psi: WaveFunction, potential: PotentialOnCurve | None, perio
     if n < 3:
         raise SolverError(f"a {'periodic' if periodic else 'dirichlet'} xi grid needs "
                           f"at least 3 unknowns, got {n}")
-    c = psi.constants.hbar ** 2 / (2.0 * psi.constants.mass)
+    c = constants.hbar ** 2 / (2.0 * constants.mass)
     w = 0.5 * (h_left + h_right)
     sqrt_w = np.sqrt(w)
     kinetic = c * (1.0 / h_left + 1.0 / h_right) / w
@@ -364,7 +365,8 @@ class CrankNicolsonEvolver:
         self.constants = psi.constants
         self.potential = potential
         periodic = boundary == "periodic"
-        self._dof, self._sqrt_w, kinetic, off, v = _xi_hamiltonian(psi, potential, periodic)
+        self._dof, self._sqrt_w, kinetic, off, v = _xi_hamiltonian(
+            psi.space_chart, psi.constants, potential, periodic)
         self.xi = psi.space_chart.values[:psi.grid.node_count - periodic]
         self.phi = self._sqrt_w * psi.values[self._dof]
         self.tau = float(psi.tau)
@@ -960,9 +962,7 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
     from H's Gershgorin interval otherwise; ``dstein`` inverse iteration
     then gives its vector.
     """
-    zero = WaveFunction(FieldOnCurve.constant(grid, space_chart, 0.0 + 0.0j),
-                        constants=constants)
-    dof, sqrt_w, kinetic, band, v = _xi_hamiltonian(zero, potential, False)
+    dof, sqrt_w, kinetic, band, v = _xi_hamiltonian(space_chart, constants, potential, False)
     diag = kinetic + v[dof]
     lapack = _lapack()
     # at Koch level 9 the Gershgorin interval spans 1.8e11, about 52
@@ -977,11 +977,12 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
         m, w, iblock, isplit, info = lapack.dstebz(diag, band, 2, 0.0, 0.0, 1, 1, 0.0, "B")
     if info == 0:
         vecs, info = lapack.dstein(diag, band, w[:m], iblock, isplit)
-    if info != 0:
+    # info 0 with a non-finite vector: dstein's scaling overflows on H of norm ~1e152
+    if info != 0 or not np.isfinite(vecs[:, 0]).all():
         raise SolverError(f"ground-state eigensolver failed (LAPACK info {info})")
     values = np.zeros(grid.node_count, dtype=complex)
     values[dof] = vecs[:, 0] / sqrt_w
-    return zero.with_values(values).normalized()
+    return WaveFunction(FieldOnCurve(grid, values, space_chart), constants=constants).normalized()
 
 
 def _snapshot_spacing(psi_prev: WaveFunction, psi_mid: WaveFunction,

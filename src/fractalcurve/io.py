@@ -17,6 +17,7 @@ from .measure import Staircase
 __all__ = [
     "write_staircase_csv",
     "read_staircase_csv",
+    "field_writer",
     "write_field_csv",
     "read_field_csv",
     "write_snapshot_csv",
@@ -86,47 +87,32 @@ def read_staircase_csv(path) -> dict:
     return _read_table(path, "v,S")
 
 
+def field_writer(grid, chart):
+    """``write(path, values)`` of fields on ``grid`` and ``chart`` as ``v,S,re,im``
+    rows; the ``v,S`` fields are formatted here, once, for every file it writes."""
+    vs = list(map("%.17g,%.17g".__mod__, zip(grid.params.tolist(), chart.values.tolist())))
+
+    def write(path, values) -> None:
+        _write_table(path, "v,S,re,im", (vs, np.real(values), np.imag(values)))
+
+    return write
+
+
 def write_field_csv(path, field) -> None:
-    v = field.grid.params
-    s = field.chart.values
-    re = np.real(field.values)
-    im = np.imag(field.values) if field.is_complex else np.zeros_like(re)
-    _write_table(path, "v,S,re,im", (v, s, re, im))
+    field_writer(field.grid, field.chart)(path, field.values)
 
 
 def read_field_csv(path) -> dict:
     return _read_table(path, "v,S,re,im")
 
 
-# the last snapshot's (params, chart values, formatted "v,S" fields)
-_vs_fields = (None, None, [])
-
-
 def write_snapshot_csv(path, psi) -> None:
-    """Write psi as ``v,S,re,im,abs2`` rows.
-
-    The ``v,S`` fields are formatted once per grid and chart and kept for
-    later snapshots, which share both arrays with the evolver's template.
-    The cache compares ``psi.grid.params`` and ``psi.space_chart.values``
-    by identity, which is sound only because both arrays are read-only
-    (``curves._freeze``, ``Staircase.__post_init__``): an array that
-    cannot change keeps the fields formatted from it.  The entry holds
-    both arrays, so neither identity can pass to another array while it
-    is cached.
-    """
-    global _vs_fields
-    v, s = psi.grid.params, psi.space_chart.values
-    cached_v, cached_s, vs = _vs_fields
-    if cached_v is not v or cached_s is not s:
-        vs = list(map("%.17g,%.17g".__mod__, zip(v.tolist(), s.tolist())))
-        _vs_fields = (v, s, vs)
-    re = np.real(psi.values)
-    im = np.imag(psi.values)
-    _write_table(path, "v,S,re,im,abs2", (vs, re, im, re ** 2 + im ** 2))
+    """Write psi as a field CSV: |psi|^2 is re^2 + im^2 of its 17-digit fields."""
+    write_field_csv(path, psi.field)
 
 
 def read_snapshot_csv(path) -> dict:
-    return _read_table(path, "v,S,re,im,abs2")
+    return read_field_csv(path)
 
 
 def write_timeset_csv(path, ts: TimeSet) -> None:

@@ -39,7 +39,8 @@ _BUILDERS = ("build_koch", "build_line", "build_cantor_dust", "build_cantor_time
              "build_staircase", "estimate_gamma_dimension", "CrankNicolsonEvolver")
 # keys whose range the chart's span decides, and the integrate bounds, which must
 # be nodes of the grid: checked once the chart is built, and still before the evolver
-_CHART_RELATIVE = ("k_periods", "k0_periods", "center_frac", "integrate a", "integrate b")
+_CHART_RELATIVE = ("k_periods", "k0_periods", "center_frac", "integrate a", "integrate b",
+                   "hbar", "mass")
 
 
 def count_builds(monkeypatch):
@@ -149,19 +150,32 @@ def test_derive_and_integrate(tmp_path):
     assert result["value_re"] == pytest.approx(0.5, rel=1e-12)
 
 
+def logged_writers(monkeypatch, log):
+    """Make each ``io.field_writer`` log its build and each file it writes to ``log``.
+
+    The writer runs in a forked child, so the log is a file.
+    """
+    make = io.field_writer
+
+    def logged(grid, chart):
+        write = make(grid, chart)
+
+        def logged_write(path, values):
+            with open(log, "a") as fh:
+                fh.write(Path(path).name + "\n")
+            write(path, values)
+
+        with open(log, "a") as fh:
+            fh.write("built\n")
+        return logged_write
+
+    monkeypatch.setattr(io, "field_writer", logged)
+
+
 def test_evolve_artifacts_and_roundtrip(tmp_path, monkeypatch):
-    # the benchmark's tracing wraps the writer as (path, psi): a call with
-    # another shape would fail here before it fails a traced benchmark pass.
-    # The writer runs in a forked child, so the names go to a file
+    # one writer is built, and it writes each snapshot once, in order
     written = tmp_path / "written.txt"
-    write = io.write_snapshot_csv
-
-    def two_params(path, psi):
-        with open(written, "a") as fh:
-            fh.write(Path(path).name + "\n")
-        write(path, psi)
-
-    monkeypatch.setattr(io, "write_snapshot_csv", two_params)
+    logged_writers(monkeypatch, written)
     cfg = write_cfg(tmp_path / "cfg.json", {
         "curve": {"kind": "koch", "level": 4},
         "alpha_space": KOCH_DIM,
@@ -176,7 +190,7 @@ def test_evolve_artifacts_and_roundtrip(tmp_path, monkeypatch):
     out = tmp_path / "out"
     snaps = sorted(out.glob("snapshot_*.csv"))
     assert [s.name for s in snaps] == [f"snapshot_{i:06d}.csv" for i in (0, 10, 20, 30, 40)]
-    assert written.read_text().splitlines() == [s.name for s in snaps]
+    assert written.read_text().splitlines() == ["built"] + [s.name for s in snaps]
 
     phase = json.loads((out / "phase_check.json").read_text())
     assert phase["relative_error"] < 1e-3
@@ -463,6 +477,48 @@ def test_config_faults_exit_2_before_any_build(tmp_path, capsys, monkeypatch, co
     assert not out.exists()
 
 
+_GROUND_RUN = {**_KOCH3, "alpha_space": KOCH_DIM,
+               "run": {**_RUN, "initial": {"kind": "harmonic_ground"},
+                       "potential": {"kind": "harmonic", "omega": 3.0}}}
+
+
+@pytest.mark.parametrize("key,value", [("hbar", 1e300), ("mass", 1e-300)])
+def test_physics_that_overflows_h_exits_2(tmp_path, capfd, monkeypatch, key, value):
+    # hbar^2 overflows; with mass 1e-300, hbar^2 / (2 m) = 5e299 is finite, but
+    # H's largest coupling on Koch L3's chart, 2.7e303, has no finite square
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    {**_GROUND_RUN, "physics": {key: value}, "output": str(out)})
+    calls = count_builds(monkeypatch)
+    assert run_cli(["continuity", cfg]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert_built_nothing(calls, err)
+    assert not out.exists()
+
+
+def test_non_finite_ground_state_exits_1(tmp_path, capfd, monkeypatch):
+    # dstein returns a NaN vector with info 0 where its scaling overflows, as
+    # on Koch L3 at mass 1e-150 (H's largest coupling 2.7e153, whose square is
+    # finite); faked here, so that the test does not depend on one LAPACK build
+    lapack = dynamics._lapack()
+
+    class NaNStein:
+        def __getattr__(self, name):
+            return getattr(lapack, name)
+
+        def dstein(self, *args):
+            vecs, info = lapack.dstein(*args)
+            return np.full_like(vecs, np.nan), info
+
+    monkeypatch.setattr(dynamics, "_lapack", NaNStein)
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path / "cfg.json", {**_GROUND_RUN, "output": str(out)})
+    assert run_cli(["continuity", cfg]) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == "SolverError"
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_config_fault_keeps_an_existing_output_directory(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
@@ -651,18 +707,13 @@ def test_in_process_writes_match_forked_writes(tmp_path, monkeypatch):
     forked, in_process = tmp_path / "forked", tmp_path / "in_process"
     assert run_cli(["evolve", cfg, "--output-dir", forked]) == 0
 
-    # without os.fork the same loop writes each snapshot in this process
+    # without os.fork the same writer writes each snapshot in this process
     monkeypatch.delattr(os, "fork")
-    written = []
-    write = io.write_snapshot_csv
-
-    def recorded(path, psi):
-        written.append(Path(path).name)
-        write(path, psi)
-
-    monkeypatch.setattr(io, "write_snapshot_csv", recorded)
+    written = tmp_path / "written.txt"
+    logged_writers(monkeypatch, written)
     assert run_cli(["evolve", cfg, "--output-dir", in_process]) == 0
-    assert written == [f"snapshot_{i:06d}.csv" for i in range(0, 21, 5)]
+    assert written.read_text().splitlines() == ["built"] + [
+        f"snapshot_{i:06d}.csv" for i in range(0, 21, 5)]
     names = sorted(p.name for p in forked.iterdir())
     assert names == sorted(p.name for p in in_process.iterdir())
     for name in names:
@@ -746,7 +797,8 @@ _JUNK = st.one_of(
 _SPOIL = [("run", "d_tau"), ("run", "snapshot_stride"), ("run", "xi_points"),
           ("run", "boundary"), ("initial", "kind"), ("initial", "k_periods"),
           ("initial", "A"), ("initial", "center_frac"), ("initial", "sigma_frac"),
-          ("initial", "k0_periods"), ("potential", "omega")]
+          ("initial", "k0_periods"), ("potential", "omega"), ("physics", "hbar"),
+          ("physics", "mass")]
 
 
 @st.composite
@@ -760,12 +812,13 @@ def _fuzzed_run(draw):
                                                   "harmonic_ground"]))},
         "potential": {"kind": "harmonic", "omega": 3.0},
     }
-    sections = {"run": run, "initial": run["initial"], "potential": run["potential"]}
+    sections = {"run": run, "initial": run["initial"], "potential": run["potential"],
+                "physics": {}}
     for section, key in draw(st.lists(st.sampled_from(_SPOIL), min_size=1, max_size=3,
                                       unique=True)):
         sections[section][key] = draw(_JUNK)
     cfg = {"curve": {"kind": "koch", "level": draw(st.integers(1, 3))},
-           "alpha_space": KOCH_DIM, "run": run}
+           "alpha_space": KOCH_DIM, "run": run, "physics": sections["physics"]}
     return draw(st.sampled_from(["evolve", "continuity"])), cfg
 
 

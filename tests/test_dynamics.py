@@ -313,7 +313,8 @@ def test_flapack_solves_match_scipy_linalg_lapack(koch5, monkeypatch, boundary):
 
     grid, chart = koch5
     psi, potential = wrapped_gaussian(grid, chart), _harmonic(grid, chart)
-    dof, _, kinetic, off, v = dynamics._xi_hamiltonian(psi, potential, boundary == "periodic")
+    dof, _, kinetic, off, v = dynamics._xi_hamiltonian(chart, psi.constants, potential,
+                                                       boundary == "periodic")
     lam = 0.5e-3 / CONST.hbar
     a_diag = 1.0 + 1j * lam * (kinetic + v[dof])
     band = 1j * lam * off[:len(a_diag) - 1]
@@ -330,10 +331,9 @@ def test_flapack_solves_match_scipy_linalg_lapack(koch5, monkeypatch, boundary):
     assert _same_bits(ev.phi, ev_ref.phi)
 
 
-def _ground_state_h(grid, chart, potential):
+def _ground_state_h(chart, potential):
     """The Dirichlet unknowns, sqrt(w), H's diagonal and band, and V at the nodes."""
-    zero = fc.WaveFunction(fc.FieldOnCurve.constant(grid, chart, 0j))
-    dof, sqrt_w, kinetic, off, v = dynamics._xi_hamiltonian(zero, potential, False)
+    dof, sqrt_w, kinetic, off, v = dynamics._xi_hamiltonian(chart, CONST, potential, False)
     return dof, sqrt_w, kinetic + v[dof], off, v
 
 
@@ -341,7 +341,7 @@ def _eigh_ground_state(grid, chart, potential):
     """The oracle: eigh_tridiagonal's lowest eigenpair of the same H, as (lambda, state)."""
     from scipy.linalg import eigh_tridiagonal
 
-    dof, sqrt_w, diag, off, _ = _ground_state_h(grid, chart, potential)
+    dof, sqrt_w, diag, off, _ = _ground_state_h(chart, potential)
     lam, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     theta = np.zeros(grid.node_count, dtype=complex)
     theta[dof] = vecs[:, 0] / sqrt_w
@@ -408,7 +408,7 @@ def test_ground_state_agrees_with_eigh_tridiagonal(koch5, monkeypatch, omega):
     lam_ref, expect = _eigh_ground_state(grid, chart, potential)
     _, eigenvalues = _recorded_ground_state_lapack(monkeypatch)
     gs = fc.stationary_ground_state(grid, chart, potential)
-    dof, sqrt_w, diag, off, _ = _ground_state_h(grid, chart, potential)
+    dof, sqrt_w, diag, off, _ = _ground_state_h(chart, potential)
     (lam,) = eigenvalues[-1]
     assert abs(lam - lam_ref) <= 2.0 * _bisection_tolerance(diag, off)
     x, y = gs.values[dof] * sqrt_w, expect.values[dof] * sqrt_w
@@ -425,7 +425,7 @@ def test_ground_state_bracket_holds_an_exact_eigenvectors_rounded_quotient(koch5
     for omega in (1.0, 10.0, 30.0, 60.0, 100.0, 200.0, 1e3, 1e4):
         potential = _harmonic(grid, chart, omega)
         lam_ref, expect = _eigh_ground_state(grid, chart, potential)
-        dof, sqrt_w, diag, off, v = _ground_state_h(grid, chart, potential)
+        dof, sqrt_w, diag, off, v = _ground_state_h(chart, potential)
         exact = expect.values[dof].real * sqrt_w
         quotient = dynamics._rayleigh_quotient(diag, off, exact)
         lo = float(np.min(v[dof]))

@@ -13,7 +13,7 @@ from fractalcurve import io
 
 from conftest import KOCH_DIM
 
-SNAPSHOT_HEADER = "v,S,re,im,abs2"
+SNAPSHOT_HEADER = "v,S,re,im"
 
 # floats whose text form is easy to get wrong: signed zeros, subnormals,
 # infinities, NaN and the ends of the float range
@@ -30,9 +30,8 @@ def reference_write_table(path, header, columns):
 
 
 def reference_snapshot(path, psi):
-    re, im = np.real(psi.values), np.imag(psi.values)
-    reference_write_table(path, SNAPSHOT_HEADER,
-                          (psi.grid.params, psi.space_chart.values, re, im, re ** 2 + im ** 2))
+    reference_write_table(path, SNAPSHOT_HEADER, (psi.grid.params, psi.space_chart.values,
+                                                  np.real(psi.values), np.imag(psi.values)))
 
 
 def _column(rng, rows):
@@ -65,7 +64,7 @@ def _random_state(grid, chart, rng):
 
 
 def test_snapshot_prefix_cache_follows_grid_and_chart(tmp_path):
-    # a stale cached "v,S" field would differ from the reference in some file
+    # each file's "v,S" fields are its own grid's and chart's, whatever came before
     rng = np.random.default_rng(7)
     grid, coarse = fc.build_koch(3), fc.build_koch(2)
     koch_chart, unit_chart = fc.build_staircase(grid, KOCH_DIM), fc.build_staircase(grid, 1.0)
@@ -83,6 +82,21 @@ def test_snapshot_prefix_cache_follows_grid_and_chart(tmp_path):
         assert got.read_bytes() == want.read_bytes(), f"snapshot {i}"
 
 
+def test_writers_on_different_grids_used_alternately_write_what_write_snapshot_csv_writes(
+        tmp_path):
+    # each writer holds its own grid's "v,S" fields, whatever the other writes between
+    rng = np.random.default_rng(11)
+    fine, coarse = fc.build_koch(3), fc.build_koch(2)
+    charts = {fine: fc.build_staircase(fine, KOCH_DIM), coarse: fc.build_staircase(coarse, 1.0)}
+    writers = {grid: io.field_writer(grid, chart) for grid, chart in charts.items()}
+    for i, grid in enumerate([fine, coarse, fine, coarse, coarse, fine]):
+        psi = _random_state(grid, charts[grid], rng)
+        got, want = tmp_path / f"got_{i}.csv", tmp_path / f"want_{i}.csv"
+        writers[grid](got, psi.values)
+        io.write_snapshot_csv(want, psi)
+        assert got.read_bytes() == want.read_bytes(), f"snapshot {i}"
+
+
 def test_snapshot_roundtrip_is_bit_exact(tmp_path):
     grid = fc.build_koch(4)
     chart = fc.build_staircase(grid, KOCH_DIM)
@@ -93,8 +107,7 @@ def test_snapshot_roundtrip_is_bit_exact(tmp_path):
     io.write_snapshot_csv(path, psi)
     data = io.read_snapshot_csv(path)
     re, im = np.real(psi.values), np.imag(psi.values)
-    for name, want in [("v", grid.params), ("S", chart.values), ("re", re), ("im", im),
-                       ("abs2", re ** 2 + im ** 2)]:
+    for name, want in [("v", grid.params), ("S", chart.values), ("re", re), ("im", im)]:
         np.testing.assert_array_equal(data[name].view(np.uint64), want.view(np.uint64),
                                       err_msg=name)
 
