@@ -16,7 +16,9 @@ as A = T + U V^T: T is block-diagonal tridiagonal, each block factored
 with LAPACK ``zgttrf`` and solved with ``zgttrs``, and each coupling that
 T leaves out (a *cut edge*: the periodic seam, and the middle edge of a
 grid of at least ``_N_SPLIT`` unknowns) is one rank-one term of U V^T,
-folded in by the Woodbury identity through spikes T^-1 U solved once.
+folded in by the Woodbury identity: the spikes W = T^-1 U are solved
+with the factors, and each step solves the at most 2 x 2 system
+(I + V^T W) t = V^T y on scalars.
 Large grids are thus stepped as two blocks, one per thread; the block
 count depends on the unknown count alone, so results do not depend on
 the CPU count.  Cantor-like time supports are honored implicitly: tau is
@@ -327,13 +329,19 @@ _N_SPLIT = 1 << 14
 _CHUNK = 1 << 14
 
 
-def _subtract_scaled(x, z, s, buf):
-    """x -= z * s in place, a chunk of ``buf`` at a time; the bits are numpy's ``x -= z * s``."""
-    for start in range(0, len(x), len(buf)):
-        xc = x[start:start + len(buf)]
-        t = buf[:len(xc)]
-        np.multiply(z[start:start + len(buf)], s, out=t)
-        np.subtract(xc, t, out=xc)
+def _woodbury_matrix(spikes, ratios) -> list:
+    """M = I + V^T W from the cut values ``spikes[l] = (W_l at each cut's p, at each cut's q)``."""
+    return [[(j == l) + wp[j] + r * wq[j] for l, (wp, wq) in enumerate(spikes)]
+            for j, r in enumerate(ratios)]
+
+
+def _solve_woodbury(m, s) -> list:
+    """t with M t = s, M at most 2 x 2, by elimination on Python scalars."""
+    if len(s) < 2:
+        return [sj / m[0][0] for sj in s]
+    r = m[1][0] / m[0][0]
+    t1 = (s[1] - r * s[0]) / (m[1][1] - r * m[0][1])
+    return [(s[0] - m[0][1] * t1) / m[0][0], t1]
 
 
 class CrankNicolsonEvolver:
@@ -394,21 +402,22 @@ class CrankNicolsonEvolver:
         self._lu = [[np.empty(b.stop - b.start - 1, dtype=complex),
                      np.empty(b.stop - b.start, dtype=complex),
                      np.empty(b.stop - b.start - 1, dtype=complex)] for b in self._blocks]
-        # the spikes T^-1 U, made Z = T^-1 U M^-1 (one row per cut edge)
-        self._z = np.empty((len(cuts), n), dtype=complex)
+        # the spikes W = T^-1 U, one row per cut edge
+        self._spikes = np.empty((len(cuts), n), dtype=complex)
         self._buf = [np.empty(min(_CHUNK, b.stop - b.start), dtype=complex) for b in self._blocks]
         # cut values of y and of the spikes, double-buffered by step parity
         # so that a block may publish step i + 1 while the other reads step i
         self._cut_values = np.empty((2, 1 + len(cuts), 2, len(cuts)), dtype=complex)
-        # a static H is factored here, once, and its spikes are solved at the
-        # first step, each block's on its own thread; a time-dependent H is
-        # factored at every step and keeps H's parts for it
+        # a static H is factored, its spikes solved and M = I + V^T W built
+        # here, once; a time-dependent H is factored and its spikes solved at
+        # every step, each block's in its own thread, and keeps H's parts for it
         self._static = potential is None or potential.is_static
-        self._g = None
-        self._spikes_solved = False
+        self._ratios = self._m = None
         if self._static:
             for b in range(len(self._blocks)):
-                self._g = self._factor(b, 1.0)
+                self._ratios = self._factor(b, 1.0)
+            self._m = _woodbury_matrix(
+                [(w[self._p].tolist(), w[self._q].tolist()) for w in self._spikes], self._ratios)
             self._h = None
 
     def _a_diag(self, i: int, mod: float) -> complex:
@@ -417,12 +426,13 @@ class CrankNicolsonEvolver:
         return np.complex128(complex(1.0, self._lam * (kinetic[i] + v[i] * mod)))
 
     def _factor(self, b: int, mod: float) -> list:
-        """Factor block b of T at V multiplier ``mod``; returns the cut edges' g.
+        """Factor block b of T at V multiplier ``mod`` and solve its slices of the spikes T^-1 U.
 
         T is A = I + i lam H less the cut couplings.  Cut edge j is the
         rank-one term u v^T with u = g e_p + c e_q, v = e_p + (c/g) e_q and
         g = -A[p, p], so T[p, p] = 2 A[p, p] suffers no cancellation and
-        T[q, q] = A[q, q] - c^2/g.
+        T[q, q] = A[q, q] - c^2/g.  Returns the cut edges' ratios c/g as
+        Python scalars.
         """
         kinetic, off, v = self._h
         sl = self._blocks[b]
@@ -443,20 +453,16 @@ class CrankNicolsonEvolver:
         if info != 0:
             raise SolverError(f"Crank-Nicolson factorization failed (LAPACK info {info})")
         self._lu[b] = lu
-        return g
-
-    def _solve_spikes(self, b: int, g: list):
-        """Block b's slices of the spikes T^-1 U, unscaled, into the spike rows."""
-        sl = self._blocks[b]
-        for z, p, q, c, gj in zip(self._z[:, sl], self._p, self._q, self._c, g):
-            z[:] = 0.0
+        for w, p, q, c, gj in zip(self._spikes[:, sl], self._p, self._q, self._c, g):
+            w[:] = 0.0
             if sl.start <= p < sl.stop:
-                z[p - sl.start] = gj
+                w[p - sl.start] = gj
             if sl.start <= q < sl.stop:
-                z[q - sl.start] = c
-            _, info = _lapack().zgttrs(*self._lu[b], z, overwrite_b=1)
+                w[q - sl.start] = c
+            _, info = _lapack().zgttrs(*lu, w, overwrite_b=1)
             if info != 0:
                 raise SolverError(f"Crank-Nicolson solve failed (LAPACK info {info})")
+        return [complex(c / gj) for c, gj in zip(self._c, g)]
 
     def _publish(self, b: int, cut_values, solution, spikes: bool):
         """Copy y, and with ``spikes`` the spike rows, at block b's cut nodes into ``cut_values``.
@@ -466,25 +472,7 @@ class CrankNicolsonEvolver:
         for side, j, node in self._cut_nodes[b]:
             cut_values[0, side, j] = solution[node]
             if spikes:
-                cut_values[1:, side, j] = self._z[:, node]
-
-    def _make_spikes(self, b: int, cut_values, ratios):
-        """Turn block b's spike rows W = T^-1 U into Z = W M^-1, M = I + V^T W.
-
-        M is at most 2 x 2 and is built from the spikes' cut values in
-        ``cut_values``; Z M = W is solved by column elimination in place.
-        With one cut edge this is the Sherman-Morrison quotient z / (1 + v^T z).
-        """
-        wp, wq = cut_values[1:, 0], cut_values[1:, 1]  # [l, j]: spike l at cut j's p or q
-        m = [[float(j == l) + wp[l, j] + ratios[j] * wq[l, j] for l in range(len(ratios))]
-             for j in range(len(ratios))]
-        z, buf = self._z[:, self._blocks[b]], self._buf[b]
-        if len(m) == 2:
-            _subtract_scaled(z[1], z[0], m[0][1] / m[0][0], buf)
-            z[1] /= m[1][1] - m[0][1] * m[1][0] / m[0][0]
-            _subtract_scaled(z[0], z[1], m[1][0], buf)
-        if m:
-            z[0] /= m[0][0]
+                cut_values[1:, side, j] = self._spikes[:, node]
 
     def _run(self, b: int, steps: int, tau: float, solution, barrier):
         """``steps`` Cayley steps of block b from ``tau``, meeting the other block at ``barrier``.
@@ -493,47 +481,39 @@ class CrankNicolsonEvolver:
         """
         zgttrs = _lapack().zgttrs
         sl = self._blocks[b]
-        x, phi, z, buf = solution[sl], self.phi[sl], self._z[:, sl], self._buf[b]
-        static, cuts = self._static, range(len(z))
+        x, phi, w, buf = solution[sl], self.phi[sl], self._spikes[:, sl], self._buf[b]
+        static, cuts = self._static, len(w)
         # the chunks of x, phi and the spike rows that the updates run through
         width = len(buf)
-        chunks = [(x[a:a + width], phi[a:a + width], [zj[a:a + width] for zj in z],
+        chunks = [(x[a:a + width], phi[a:a + width], [wj[a:a + width] for wj in w],
                    buf[:min(width, len(x) - a)]) for a in range(0, len(x), width)]
-        g, p_nodes, q_nodes, d_tau = self._g, self._p, self._q, self.d_tau
-        ratios = None if g is None else [c / gj for c, gj in zip(self._c, g)]
+        ratios, m, d_tau = self._ratios, self._m, self.d_tau
+        # the rows of the cut values that a step publishes: y's, and the
+        # spikes' where H, and so M, changes at every step
+        rows = 1 if static else 1 + cuts
+        t = ()
         # x holds a copy of phi at the start of each step, for zgttrs to overwrite
         np.copyto(x, phi)
         for i in range(steps):
             if not static:
-                g = self._factor(b, self.potential.modulation(tau))
-                ratios = [c / gj for c, gj in zip(self._c, g)]
-            # the spikes are solved at every step of a time-dependent H and
-            # at the first of a static one
-            fresh = not static or (i == 0 and not self._spikes_solved)
-            if cuts and fresh:
-                self._solve_spikes(b, g)
+                ratios = self._factor(b, self.potential.modulation(tau))
             _, info = zgttrs(*self._lu[b], x, overwrite_b=1)
             if info != 0:
                 raise SolverError(f"Crank-Nicolson solve failed (LAPACK info {info})")
-            if not cuts:
-                s = ()
-            elif barrier is None and not fresh:
-                # one block holds every cut node
-                s = [x[p] + r * x[q] for p, q, r in zip(p_nodes, q_nodes, ratios)]
-            else:
+            if cuts:
                 cut_values = self._cut_values[i & 1]
-                self._publish(b, cut_values, solution, fresh)
+                self._publish(b, cut_values, solution, not static)
                 if barrier is not None:
                     barrier.wait()
-                if fresh:
-                    self._make_spikes(b, cut_values, ratios)
-                yp, yq = cut_values[0]
-                s = [yp[j] + ratios[j] * yq[j] for j in cuts]
-            # x <- y - Z s, then phi <- 2 x - phi, written to both x and phi
-            for xc, pc, zc, t in chunks:
-                for zj, sj in zip(zc, s):
-                    np.multiply(zj, sj, t)
-                    np.subtract(xc, t, xc)
+                (yp, yq), *spikes = cut_values[:rows].tolist()
+                if not static:
+                    m = _woodbury_matrix(spikes, ratios)
+                t = _solve_woodbury(m, [yp[j] + r * yq[j] for j, r in enumerate(ratios)])
+            # x <- y - W t, then phi <- 2 x - phi, written to both x and phi
+            for xc, pc, wc, tmp in chunks:
+                for wj, tj in zip(wc, t):
+                    np.multiply(wj, tj, tmp)
+                    np.subtract(xc, tmp, xc)
                 np.multiply(xc, 2.0, xc)
                 np.subtract(xc, pc, xc)
                 pc[:] = xc
@@ -546,11 +526,14 @@ class CrankNicolsonEvolver:
 
         Each step is phi <- 2 A^-1 phi - phi (B = 2I - A, with A and B at
         the step's starting tau): per block, one ``zgttrs`` solve y = T^-1 phi
-        into a buffer that lives for the call, the cut correction
-        x = y - Z V^T y, whose V^T y needs y only at the cut nodes, and one
-        axpy.  Two blocks share those values at one barrier per step.  An
-        exception in either block is raised here after both have stopped;
-        phi is then left part-stepped.
+        into a buffer that lives for the call, the cut correction x = y - W t
+        and one axpy.  M t = V^T y is at most 2 x 2 and is solved on scalars:
+        V^T y needs y only at the cut nodes, and M = I + V^T W the spikes
+        only there.  A time-dependent H first re-factors each block and
+        re-solves its spike slices, and both blocks build M from the
+        spikes' cut values.  Two blocks share their cut values at one
+        barrier per step.  An exception in either block is raised here after
+        both have stopped; phi is then left part-stepped.
         """
         if n < 0:
             raise ValueError("steps must be non-negative")
@@ -561,7 +544,6 @@ class CrankNicolsonEvolver:
             self._run(0, n, self.tau, solution, None)
         else:
             self._run_two_blocks(n, solution)
-        self._spikes_solved = self._spikes_solved or n > 0
         return self
 
     def _run_two_blocks(self, n: int, solution):

@@ -228,10 +228,12 @@ def test_crank_nicolson_step_matches_dense_oracle(boundary, n, split, monkeypatc
             assert np.linalg.norm(ev.phi - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
-def _split_evolver(monkeypatch, boundary="dirichlet"):
-    """Evolver of a 64-unknown harmonic state, stepped as two blocks of 32."""
+def _split_evolver(monkeypatch, boundary="dirichlet", modulation=None):
+    """Evolver of a 64-unknown harmonic state, stepped as two blocks of 32,
+    with the harmonic V scaled by ``modulation(tau)`` if given."""
     _split_at(monkeypatch, True)
-    psi, potential = _harmonic_state(64, boundary)
+    psi, static = _harmonic_state(64, boundary)
+    potential = fc.PotentialOnCurve(static.field, time_dependence=modulation)
     ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=0.05, boundary=boundary)
     assert len(ev._blocks) == 2
     return ev
@@ -269,14 +271,20 @@ def test_split_solver_error_in_either_thread_is_raised_by_step(monkeypatch, fail
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-def test_split_steps_are_deterministic_under_thread_switching(monkeypatch, boundary):
+@pytest.mark.parametrize("boundary,modulation", [
+    pytest.param(boundary, modulation, id=boundary + suffix)
+    for suffix, modulation in (("", None), ("-ramp", lambda tau: 1.0 + 40.0 * tau))
+    for boundary in ("dirichlet", "periodic")])
+def test_split_steps_are_deterministic_under_thread_switching(monkeypatch, boundary,
+                                                              modulation):
     # two split evolvers stepped at once from two threads (five threads on
     # two cores) with the interpreter switching threads every
     # microsecond: each block reads the other's cut values only after the
-    # barrier, so every run gives the bits of an undisturbed one
-    reference = _split_evolver(monkeypatch, boundary).step(40).phi
-    evolvers = [_split_evolver(monkeypatch, boundary) for _ in range(2)]
+    # barrier, so every run gives the bits of an undisturbed one; under a
+    # ramp V both blocks build M from the spikes' published cut values at
+    # every step
+    reference = _split_evolver(monkeypatch, boundary, modulation).step(40).phi
+    evolvers = [_split_evolver(monkeypatch, boundary, modulation) for _ in range(2)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -708,6 +716,34 @@ def test_kernel_step_invariants():
         fc.KernelStep(epsilon=1e-3, damping_eta=0.5)
 
 
+def _check_kernel_multipliers(grid, chart, eps, eta):
+    """kernel_step's multiplier on every mode, against the damped free propagator.
+
+    The step is a circular convolution, so the DFT of its response to a
+    unit impulse at node 0 is the multiplier mu_q of every mode q at once.
+    Sampling the kernel at m points aliases mode q with its image, the
+    wavenumber 2 pi (m - |q|) / span (Poisson summation), so mu_q may miss
+    exp(-i hbar eps k^2 (1 - i eta) / (2 mass)) by twice the image's own
+    damped modulus, plus 2e-12 of roundoff.  Checked on every mode whose
+    exact |mu| is at least 1e-6.
+    """
+    m = grid.node_count - 1
+    impulse = np.zeros(grid.node_count, dtype=complex)
+    impulse[[0, -1]] = 1.0  # the seam node is node 0's wrap image
+    out = fc.kernel_step(fc.WaveFunction(fc.FieldOnCurve(grid, impulse, chart)),
+                         fc.KernelStep(epsilon=eps, damping_eta=eta))
+    mu = np.fft.fft(out.values[:m])
+    q = np.minimum(np.arange(m), m - np.arange(m))
+
+    def exact(modes):
+        k = 2.0 * math.pi * modes / chart.total
+        return np.exp(-1j * CONST.hbar * eps * k * k * (1 - 1j * eta) / (2 * CONST.mass))
+
+    checked = np.abs(exact(q)) >= 1e-6
+    bound = 2e-12 + 2.0 * np.abs(exact(m - q))
+    assert np.all(np.abs(mu - exact(q))[checked] <= bound[checked])
+
+
 def test_kernel_step_constant_and_plane_wave():
     grid = fc.build_line((0, 0, 0), (1, 0, 0), 1024)
     chart = fc.build_staircase(grid, 1.0)
@@ -727,6 +763,12 @@ def test_kernel_step_constant_and_plane_wave():
     np.testing.assert_allclose(out.values, psi.values * phase_damped, atol=1e-9)
     phase_free = np.exp(-1j * CONST.hbar * k * k * eps / (2 * CONST.mass))
     assert np.max(np.abs(out.values - psi.values * phase_free)) < 2.0 * eta * eps * k * k
+
+    # every mode: this line's images stay below roundoff up to mode 200 and
+    # are as large as mu itself at 511; a finer line's never leave roundoff
+    _check_kernel_multipliers(grid, chart, eps, eta)
+    fine = fc.build_line((0, 0, 0), (1, 0, 0), 4096)
+    _check_kernel_multipliers(fine, fc.build_staircase(fine, 1.0), 1e-3, 5e-4)
 
 
 def test_kernel_step_resolution_guard():
@@ -1149,3 +1191,4 @@ def test_kernel_step_on_koch(koch5):
     out = fc.kernel_step(psi, fc.KernelStep(epsilon=eps, damping_eta=eta))
     phase_damped = np.exp(-1j * CONST.hbar * k * k * eps * (1 - 1j * eta) / (2 * CONST.mass))
     np.testing.assert_allclose(out.values[:-1], psi.values[:-1] * phase_damped, atol=1e-8)
+    _check_kernel_multipliers(grid, chart, eps, eta)
