@@ -18,8 +18,9 @@ T leaves out (a *cut edge*: the periodic seam, and the middle edge of a
 grid of at least ``_N_SPLIT`` unknowns) is one rank-one term of U V^T,
 folded in by the Woodbury identity: the spikes W = T^-1 U are solved
 with the factors, and each step solves the at most 2 x 2 system
-(I + V^T W) t = V^T y on scalars.
-Large grids are thus stepped as two blocks, one per thread; the block
+(I + V^T W) t = V^T y once, on scalars.
+Large grids are thus stepped as two blocks, one per thread, which meet
+at one barrier per step whose action solves that system; the block
 count depends on the unknown count alone, so results do not depend on
 the CPU count.  Cantor-like time supports are honored implicitly: tau is
 staircase time, so no evolution is attributed to the removed gaps where
@@ -329,12 +330,6 @@ _N_SPLIT = 1 << 14
 _CHUNK = 1 << 14
 
 
-def _woodbury_matrix(spikes, ratios) -> list:
-    """M = I + V^T W from the cut values ``spikes[l] = (W_l at each cut's p, at each cut's q)``."""
-    return [[(j == l) + wp[j] + r * wq[j] for l, (wp, wq) in enumerate(spikes)]
-            for j, r in enumerate(ratios)]
-
-
 def _solve_woodbury(m, s) -> list:
     """t with M t = s, M at most 2 x 2, by elimination on Python scalars."""
     if len(s) < 2:
@@ -355,9 +350,10 @@ class CrankNicolsonEvolver:
 
     A grid of at least ``_N_SPLIT`` unknowns is stepped as two blocks:
     each ``step(n)`` call runs the second block on a thread of its own,
-    joined before it returns.  A time-dependent potential's
-    ``time_dependence`` is then called from both threads, so it must be a
-    function of tau alone.
+    joined before it returns, and the blocks meet at one barrier per
+    step, whose action solves the cut system for both.  A time-dependent
+    potential's ``time_dependence`` is then called from both threads, so
+    it must be a function of tau alone.
     """
 
     def __init__(self, psi: WaveFunction, potential: PotentialOnCurve | None = None,
@@ -393,11 +389,13 @@ class CrankNicolsonEvolver:
         self._p = [p for p, _, _ in cuts]
         self._q = [q for _, q, _ in cuts]
         self._c = list(1j * self._lam * off[[e for _, _, e in cuts]])
-        # (side, cut, node) of the cut nodes in each block, side 0 for p
-        self._cut_nodes = [[(side, j, node) for side, nodes in enumerate((self._p, self._q))
-                            for j, node in enumerate(nodes) if blk.start <= node < blk.stop]
-                           for blk in self._blocks]
-        self._h = (kinetic, off, v[self._dof])
+        v = v[self._dof]
+        self._h = (kinetic, off, v)
+        # g = -A[p, p] at V's own samples, fixed for every step: T[p, p] =
+        # A[p, p] - g then has real part 2 at any V multiplier, so it cannot
+        # cancel, and the ratios c/g are constants
+        self._g = [-complex(1.0, self._lam * (kinetic[p] + v[p])) for p in self._p]
+        self._ratios = [complex(c / g) for c, g in zip(self._c, self._g)]
         # A's bands, factored in place block by block (zgttrf adds du2 and ipiv)
         self._lu = [[np.empty(b.stop - b.start - 1, dtype=complex),
                      np.empty(b.stop - b.start, dtype=complex),
@@ -405,34 +403,25 @@ class CrankNicolsonEvolver:
         # the spikes W = T^-1 U, one row per cut edge
         self._spikes = np.empty((len(cuts), n), dtype=complex)
         self._buf = [np.empty(min(_CHUNK, b.stop - b.start), dtype=complex) for b in self._blocks]
-        # cut values of y and of the spikes, double-buffered by step parity
-        # so that a block may publish step i + 1 while the other reads step i
-        self._cut_values = np.empty((2, 1 + len(cuts), 2, len(cuts)), dtype=complex)
         # a static H is factored, its spikes solved and M = I + V^T W built
         # here, once; a time-dependent H is factored and its spikes solved at
         # every step, each block's in its own thread, and keeps H's parts for it
         self._static = potential is None or potential.is_static
-        self._ratios = self._m = None
+        self._m = None
+        # t of the last step's M t = V^T y
+        self._t = []
         if self._static:
             for b in range(len(self._blocks)):
-                self._ratios = self._factor(b, 1.0)
-            self._m = _woodbury_matrix(
-                [(w[self._p].tolist(), w[self._q].tolist()) for w in self._spikes], self._ratios)
+                self._factor(b, 1.0)
+            self._m = self._woodbury_matrix()
             self._h = None
 
-    def _a_diag(self, i: int, mod: float) -> complex:
-        """A[i, i] at V multiplier ``mod``, with the bits of the diagonal that :meth:`_factor` builds."""
-        kinetic, _, v = self._h
-        return np.complex128(complex(1.0, self._lam * (kinetic[i] + v[i] * mod)))
-
-    def _factor(self, b: int, mod: float) -> list:
+    def _factor(self, b: int, mod: float):
         """Factor block b of T at V multiplier ``mod`` and solve its slices of the spikes T^-1 U.
 
         T is A = I + i lam H less the cut couplings.  Cut edge j is the
-        rank-one term u v^T with u = g e_p + c e_q, v = e_p + (c/g) e_q and
-        g = -A[p, p], so T[p, p] = 2 A[p, p] suffers no cancellation and
-        T[q, q] = A[q, q] - c^2/g.  Returns the cut edges' ratios c/g as
-        Python scalars.
+        rank-one term u v^T with u = g e_p + c e_q and v = e_p + (c/g) e_q,
+        so T[p, p] = A[p, p] - g and T[q, q] = A[q, q] - c^2/g.
         """
         kinetic, off, v = self._h
         sl = self._blocks[b]
@@ -443,72 +432,69 @@ class CrankNicolsonEvolver:
         np.add(kinetic[sl], d.imag, out=d.imag)
         np.multiply(d.imag, self._lam, out=d.imag)
         d.real = 1.0
-        g = [-self._a_diag(p, mod) for p in self._p]
-        for p, q, c, gj in zip(self._p, self._q, self._c, g):
+        for p, q, c, g in zip(self._p, self._q, self._c, self._g):
             if sl.start <= p < sl.stop:
-                d[p - sl.start] -= gj
+                d[p - sl.start] -= g
             if sl.start <= q < sl.stop:
-                d[q - sl.start] -= c * c / gj
+                d[q - sl.start] -= c * c / g
         *lu, info = _lapack().zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:
             raise SolverError(f"Crank-Nicolson factorization failed (LAPACK info {info})")
         self._lu[b] = lu
-        for w, p, q, c, gj in zip(self._spikes[:, sl], self._p, self._q, self._c, g):
+        for w, p, q, c, g in zip(self._spikes[:, sl], self._p, self._q, self._c, self._g):
             w[:] = 0.0
             if sl.start <= p < sl.stop:
-                w[p - sl.start] = gj
+                w[p - sl.start] = g
             if sl.start <= q < sl.stop:
                 w[q - sl.start] = c
             _, info = _lapack().zgttrs(*lu, w, overwrite_b=1)
             if info != 0:
                 raise SolverError(f"Crank-Nicolson solve failed (LAPACK info {info})")
-        return [complex(c / gj) for c, gj in zip(self._c, g)]
 
-    def _publish(self, b: int, cut_values, solution, spikes: bool):
-        """Copy y, and with ``spikes`` the spike rows, at block b's cut nodes into ``cut_values``.
+    def _woodbury_matrix(self) -> list:
+        """M = I + V^T W, from the spikes W at the cut nodes, as Python scalars."""
+        wp, wq = self._spikes[:, self._p].tolist(), self._spikes[:, self._q].tolist()
+        return [[(j == l) + wp[l][j] + r * wq[l][j] for l in range(len(wp))]
+                for j, r in enumerate(self._ratios)]
 
-        Node p of every cut edge lies in the first block and node q in the last.
+    def _solve_cuts(self, solution):
+        """Solve M t = V^T y into ``_t``, y read at the cut nodes of ``solution``.
+
+        A time-dependent H first rebuilds M from its freshly solved spikes.
+        Two blocks run this as their barrier's action: once per step, in one
+        thread, while neither block writes.
         """
-        for side, j, node in self._cut_nodes[b]:
-            cut_values[0, side, j] = solution[node]
-            if spikes:
-                cut_values[1:, side, j] = self._spikes[:, node]
+        if not self._static:
+            self._m = self._woodbury_matrix()
+        yp, yq = solution[self._p].tolist(), solution[self._q].tolist()
+        self._t = _solve_woodbury(self._m, [a + r * b for a, r, b in zip(yp, self._ratios, yq)])
 
-    def _run(self, b: int, steps: int, tau: float, solution, barrier):
-        """``steps`` Cayley steps of block b from ``tau``, meeting the other block at ``barrier``.
+    def _run(self, b: int, steps: int, tau: float, solution, meet):
+        """``steps`` Cayley steps of block b from ``tau``, calling ``meet()`` for each step's t.
 
-        ``solution`` is the buffer, as long as phi, that the solves overwrite.
+        ``solution`` is the buffer, as long as phi, that the solves overwrite;
+        ``meet`` solves the cut system, or waits at the barrier whose action does.
         """
         zgttrs = _lapack().zgttrs
         sl = self._blocks[b]
         x, phi, w, buf = solution[sl], self.phi[sl], self._spikes[:, sl], self._buf[b]
-        static, cuts = self._static, len(w)
+        static, cuts, d_tau = self._static, len(w), self.d_tau
         # the chunks of x, phi and the spike rows that the updates run through
         width = len(buf)
         chunks = [(x[a:a + width], phi[a:a + width], [wj[a:a + width] for wj in w],
                    buf[:min(width, len(x) - a)]) for a in range(0, len(x), width)]
-        ratios, m, d_tau = self._ratios, self._m, self.d_tau
-        # the rows of the cut values that a step publishes: y's, and the
-        # spikes' where H, and so M, changes at every step
-        rows = 1 if static else 1 + cuts
-        t = ()
         # x holds a copy of phi at the start of each step, for zgttrs to overwrite
         np.copyto(x, phi)
-        for i in range(steps):
+        for _ in range(steps):
             if not static:
-                ratios = self._factor(b, self.potential.modulation(tau))
+                self._factor(b, self.potential.modulation(tau))
             _, info = zgttrs(*self._lu[b], x, overwrite_b=1)
             if info != 0:
                 raise SolverError(f"Crank-Nicolson solve failed (LAPACK info {info})")
             if cuts:
-                cut_values = self._cut_values[i & 1]
-                self._publish(b, cut_values, solution, not static)
-                if barrier is not None:
-                    barrier.wait()
-                (yp, yq), *spikes = cut_values[:rows].tolist()
-                if not static:
-                    m = _woodbury_matrix(spikes, ratios)
-                t = _solve_woodbury(m, [yp[j] + r * yq[j] for j, r in enumerate(ratios)])
+                meet()
+            # the next step's t is solved only once this block meets the other again
+            t = self._t
             # x <- y - W t, then phi <- 2 x - phi, written to both x and phi
             for xc, pc, wc, tmp in chunks:
                 for wj, tj in zip(wc, t):
@@ -527,12 +513,13 @@ class CrankNicolsonEvolver:
         Each step is phi <- 2 A^-1 phi - phi (B = 2I - A, with A and B at
         the step's starting tau): per block, one ``zgttrs`` solve y = T^-1 phi
         into a buffer that lives for the call, the cut correction x = y - W t
-        and one axpy.  M t = V^T y is at most 2 x 2 and is solved on scalars:
-        V^T y needs y only at the cut nodes, and M = I + V^T W the spikes
-        only there.  A time-dependent H first re-factors each block and
-        re-solves its spike slices, and both blocks build M from the
-        spikes' cut values.  Two blocks share their cut values at one
-        barrier per step.  An exception in either block is raised here after
+        and one axpy.  M t = V^T y is at most 2 x 2 and is solved once per
+        step, on scalars: V^T y needs y only at the cut nodes, and
+        M = I + V^T W the spikes only there.  A time-dependent H first
+        re-factors each block and re-solves its spike slices, and M is
+        rebuilt.  Two blocks meet at one barrier per step, whose action
+        solves for t from both blocks' values in the shared buffer.  An
+        exception in either block, or in that action, is raised here after
         both have stopped; phi is then left part-stepped.
         """
         if n < 0:
@@ -541,19 +528,19 @@ class CrankNicolsonEvolver:
         # serves the caller's own work on the snapshots
         solution = np.empty_like(self.phi)
         if len(self._blocks) == 1:
-            self._run(0, n, self.tau, solution, None)
+            self._run(0, n, self.tau, solution, functools.partial(self._solve_cuts, solution))
         else:
             self._run_two_blocks(n, solution)
         return self
 
     def _run_two_blocks(self, n: int, solution):
         """:meth:`_run` of block 0 here and of block 1 on a thread joined before returning."""
-        barrier = threading.Barrier(2)
+        barrier = threading.Barrier(2, action=functools.partial(self._solve_cuts, solution))
         failure = []
 
         def second_block(tau):
             try:
-                self._run(1, n, tau, solution, barrier)
+                self._run(1, n, tau, solution, barrier.wait)
             except BaseException as exc:  # raised again by the caller below
                 failure.append(exc)
                 barrier.abort()
@@ -562,7 +549,7 @@ class CrankNicolsonEvolver:
                                   name="cayley-block-1", daemon=True)
         worker.start()
         try:
-            self._run(0, n, self.tau, solution, barrier)
+            self._run(0, n, self.tau, solution, barrier.wait)
         except BaseException as exc:
             barrier.abort()
             worker.join()

@@ -201,7 +201,9 @@ def _split_at(monkeypatch, split):
 def test_crank_nicolson_step_matches_dense_oracle(boundary, n, split, monkeypatch):
     # five steps, each against the textbook form A(tau)^-1 B(tau) phi with
     # the explicit B = I - i lam H and H = W^-1/2 K W^-1/2 + V built densely
-    # from the chart, under a static and a time-dependent potential; split,
+    # from the chart, under a static potential and three time-dependent
+    # ones, whose multipliers run from 1 up to 2, down to -9 and down to
+    # -250 (the cut's g, fixed at multiplier 1, serves them all); split,
     # the grid is stepped as two blocks joined by the cut correction (the
     # uneven Dirichlet grid's 63 unknowns make blocks of 31 and 32)
     _split_at(monkeypatch, split)
@@ -212,7 +214,8 @@ def test_crank_nicolson_step_matches_dense_oracle(boundary, n, split, monkeypatc
     lam = d_tau / (2.0 * CONST.hbar)
     kinetic, sqrt_w = _dense_kinetic(psi.space_chart, periodic)
     v = static.field.values[dof]
-    for modulation in (None, lambda tau: 1.0 + 40.0 * tau):
+    for modulation in (None, lambda tau: 1.0 + 40.0 * tau, lambda tau: 1.0 - 40.0 * tau,
+                       lambda tau: -1e3 * tau):
         potential = fc.PotentialOnCurve(static.field, time_dependence=modulation)
         ev = fc.CrankNicolsonEvolver(psi, potential, d_tau=d_tau, boundary=boundary)
         assert n is None or len(ev.phi) == n
@@ -249,24 +252,38 @@ def test_split_step_leaves_no_thread_alive(monkeypatch, boundary):
         assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_split_solver_error_in_either_thread_is_raised_by_step(monkeypatch, failing):
+@pytest.mark.parametrize("failing,boundary", [
+    pytest.param("worker", "dirichlet", id="worker"),
+    pytest.param("caller", "dirichlet", id="caller"),
+    *(pytest.param("cuts", boundary, id="cuts-" + boundary)
+      for boundary in ("dirichlet", "periodic"))])
+def test_split_solver_error_in_either_thread_is_raised_by_step(monkeypatch, failing, boundary):
     # a solve that fails in one block's thread stops the other at the
-    # barrier; step() raises the SolverError once both threads are done
-    real = dynamics._lapack()
-    ev = _split_evolver(monkeypatch)
+    # barrier, and a cut solve that fails in the barrier's action (in
+    # whichever thread runs it) stops both; step() raises the error once
+    # both threads are done
+    ev = _split_evolver(monkeypatch, boundary)
     ev.step(2)
+    if failing == "cuts":
+        solve_woodbury = dynamics._solve_woodbury
+        # a singular M: complex division by its zero pivot raises
+        monkeypatch.setattr(dynamics, "_solve_woodbury",
+                            lambda m, s: solve_woodbury([[0j] * len(s)] * len(s), s))
+        error, match = ZeroDivisionError, "division by zero"
+    else:
+        real = dynamics._lapack()
 
-    def zgttrs(*args, **kwargs):
-        in_worker = threading.current_thread() is not threading.main_thread()
-        if in_worker == (failing == "worker"):
-            return args[5], -6
-        return real.zgttrs(*args, **kwargs)
+        def zgttrs(*args, **kwargs):
+            in_worker = threading.current_thread() is not threading.main_thread()
+            if in_worker == (failing == "worker"):
+                return args[5], -6
+            return real.zgttrs(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_lapack",
-                        lambda: SimpleNamespace(zgttrf=real.zgttrf, zgttrs=zgttrs))
+        monkeypatch.setattr(dynamics, "_lapack",
+                            lambda: SimpleNamespace(zgttrf=real.zgttrf, zgttrs=zgttrs))
+        error, match = SolverError, r"solve failed \(LAPACK info -6\)"
     before = threading.active_count()
-    with pytest.raises(SolverError, match=r"solve failed \(LAPACK info -6\)"):
+    with pytest.raises(error, match=match):
         ev.step(3)
     assert threading.active_count() == before
 
@@ -279,10 +296,10 @@ def test_split_steps_are_deterministic_under_thread_switching(monkeypatch, bound
                                                               modulation):
     # two split evolvers stepped at once from two threads (five threads on
     # two cores) with the interpreter switching threads every
-    # microsecond: each block reads the other's cut values only after the
-    # barrier, so every run gives the bits of an undisturbed one; under a
-    # ramp V both blocks build M from the spikes' published cut values at
-    # every step
+    # microsecond: the barrier's action solves each step's cut system from
+    # both blocks' values while neither writes, and under a ramp V rebuilds
+    # M from both blocks' fresh spikes, so every run gives the bits of an
+    # undisturbed one
     reference = _split_evolver(monkeypatch, boundary, modulation).step(40).phi
     evolvers = [_split_evolver(monkeypatch, boundary, modulation) for _ in range(2)]
     interval = sys.getswitchinterval()
