@@ -289,13 +289,12 @@ def _check_xi_points(xi_points, count: int):
 def _lapack():
     """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded from its file.
 
-    The solves need four of its routines (``zgttrf``, ``zgttrs``,
-    ``dstebz``, ``dstein``).  Loading the extension on first solve takes a
-    few ms; importing the ``scipy.linalg`` package around it would cost
-    about 0.3 s and 20 MB, so the parent packages are never imported (nor
-    found through ``importlib.util.find_spec``, which imports them).  The
-    module is private to scipy: tests pin its contract against
-    ``scipy.linalg.lapack``.
+    The steps need its ``zgttrf`` and ``zgttrs``, the ground state ``dgttrf``,
+    ``dgttrs``, ``dpttrf`` and, to fall back, ``dstebz`` and ``dstein``.  It
+    loads in a few ms; importing the ``scipy.linalg`` package around it would
+    cost about 0.3 s and 20 MB, so the parent packages are never imported (nor
+    found through ``importlib.util.find_spec``, which imports them).  It is
+    private to scipy: tests pin its contract against ``scipy.linalg.lapack``.
     """
     top = importlib.util.find_spec("scipy")
     spec = None if top is None else importlib.machinery.PathFinder.find_spec(
@@ -835,10 +834,10 @@ def _ground_trial(xi, dof, sqrt_w, v, constants: PhysicalConstants) -> np.ndarra
     The box's lowest sine sin(pi (xi - xi_0) / L), times, where V has an
     interior minimum xi* of finite positive discrete curvature V'', the
     oscillator Gaussian exp(-sqrt(m V'') / (2 hbar) (xi - xi*)^2), which is
-    the exact ground state of a harmonic V.  Any nonzero trial serves the
-    bracket of :func:`stationary_ground_state`; a better one only makes it
-    narrower.  Overflow and underflow are silent here: an overflowing
-    curvature leaves the sine alone.
+    the exact ground state of a harmonic V.  Any nonzero trial serves
+    :func:`stationary_ground_state`: a poor one costs solves or the
+    fallback, never the right state.  Overflow and underflow are silent
+    here: an overflowing curvature leaves the sine alone.
     """
     with np.errstate(all="ignore"):
         x = xi[dof] - xi[0]
@@ -859,58 +858,63 @@ def _ground_trial(xi, dof, sqrt_w, v, constants: PhysicalConstants) -> np.ndarra
     return x
 
 
-def _rayleigh_quotient(diag, band, x) -> float:
-    """x^T H x / x^T x for the tridiagonal H of ``diag`` and ``band``, without forming H x.
+def _rayleigh_residual(diag, band, x) -> tuple[float, float]:
+    """sigma = x^T H x and r = ||H x - sigma x|| of a unit x.
 
-    numpy's pairwise sums, not BLAS dot products, so the bits do not depend
-    on the BLAS thread count.
+    numpy sums, not BLAS dots, so the bits do not depend on the BLAS threads.
+    """
+    hx, t = diag * x, np.empty_like(x)
+    hx[:-1] += np.multiply(band, x[1:], out=t[1:])
+    hx[1:] += np.multiply(band, x[:-1], out=t[1:])
+    sigma = float(np.sum(np.multiply(x, hx, out=t)))
+    hx -= np.multiply(x, sigma, out=t)
+    hx *= hx
+    return sigma, math.sqrt(np.sum(hx))
+
+
+# The certificate pads mu by this many ulps of |d|_max + 2 |e|_max, a bound on
+# |H|: dpttrf's pivots are a Sturm count's, exact for an H off by a few ulps
+# (Demmel, Applied Numerical Linear Algebra, 1997, sec. 5.3)
+_PAD_ULPS = 8.0
+# The iteration stops once a solve moves sigma by at most an ulp and leaves r
+# within this many, over its roundoff floor (up to 14 at Koch levels 6-9)
+_RQI_ULPS = 32.0
+_RQI_SOLVES = 4
+
+
+def _certified_ground(lapack, diag, band, x):
+    """lambda_0's unit vector by Rayleigh-quotient iteration from the trial x, or None.
+
+    Each solve x <- (H - sigma I)^-1 x (``dgttrf``, ``dgttrs``) gives
+    sigma = x^T H x and r = ||H x - sigma x||, with an eigenvalue within r
+    of sigma.  An error of angle delta raises sigma by about delta^2 times
+    a gap and the next solve cubes it, so once a solve moves sigma by at
+    most an ulp none is left for r's roundoff to hide.  ``dpttrf`` then
+    proves H - mu I positive definite at mu = sigma - r - pad, so that
+    eigenvalue is lambda_0.  None without a certificate.
     """
     with np.errstate(all="ignore"):
-        t = x * x
-        norm = np.sum(t)
-        t *= diag
-        energy = np.sum(t)
-        t = x[:-1] * x[1:]
-        t *= band
-        energy += 2.0 * np.sum(t)
-        return float(energy / norm)
-
-
-# The ground state's bracket is padded by this many ulps of |d|_max + 2 |e|_max,
-# a bound on the 2-norm of H.  A Sturm count of H at x is the exact count of
-# an H whose d - x and e are off by a few ulps (Demmel, Applied Numerical
-# Linear Algebra, 1997, sec. 5.3), which by Weyl's inequality moves the
-# eigenvalues by a few ulps of that bound; and the Rayleigh quotient of an
-# exact eigenvector rounds by up to 0.4 of an ulp either way (measured at
-# Koch levels 7 and 9, omega = 60 to 1e6; at level 9 the bound is 1.8e11
-# and its ulp 4e-5).  A pad too small costs only the fallback bisection,
-# never the right state, because the count decides.
-_BRACKET_ULPS = 8.0
-
-
-def _ground_bracket(xi, dof, sqrt_w, v, diag, band, constants: PhysicalConstants):
-    """(lo, hi], certified to hold the lowest eigenvalue of H, or None if it is not finite.
-
-    K is positive definite, so lambda_0 > min V over the unknowns; and a
-    trial's Rayleigh quotient is >= lambda_0.  Both ends are padded by
-    ``_BRACKET_ULPS`` ulps of H's norm bound.
-    """
-    with np.errstate(all="ignore"):
-        pad = _BRACKET_ULPS * np.finfo(float).eps * (
-            max(abs(diag.max()), abs(diag.min())) + 2.0 * max(abs(band.max()), abs(band.min())))
-        lo = float(v[dof].min() - pad)
-        hi = _rayleigh_quotient(diag, band, _ground_trial(xi, dof, sqrt_w, v, constants)) + pad
-    return (lo, hi) if 0.0 < hi - lo < math.inf else None
-
-
-def _eigenvalue_count(lapack, diag, band, lo: float, hi: float) -> int:
-    """How many eigenvalues of the tridiagonal H lie in (lo, hi], or -1 if ``dstebz`` fails.
-
-    Bisection to a tolerance of the bracket's width only counts: a few
-    Sturm counts, whatever the count.
-    """
-    m, _, _, _, info = lapack.dstebz(diag, band, 1, lo, hi, 0, 0, hi - lo, "B")
-    return m if info == 0 else -1
+        ulp = np.finfo(float).eps * (max(abs(diag.max()), abs(diag.min()))
+                                     + 2.0 * max(abs(band.max()), abs(band.min())))
+        x /= math.sqrt(np.sum(x * x))
+        sigma, r = _rayleigh_residual(diag, band, x)
+        for _ in range(_RQI_SOLVES):
+            *lu, info = lapack.dgttrf(band, diag - sigma, band, overwrite_d=1)
+            if info == 0:
+                x, info = lapack.dgttrs(*lu, x, overwrite_b=1)
+            if info != 0:
+                return None
+            x /= math.sqrt(np.sum(x * x))
+            shift, (sigma, r) = sigma, _rayleigh_residual(diag, band, x)
+            if not math.isfinite(sigma) or r <= _RQI_ULPS * ulp and abs(sigma - shift) <= ulp:
+                break
+        else:
+            return None
+        mu = sigma - r - _PAD_ULPS * ulp
+        info = lapack.dpttrf(diag - mu, band, overwrite_d=1)[-1] if math.isfinite(mu) else -1
+        # dstein's sign: the component of largest modulus positive
+        x *= math.copysign(1.0, x[np.argmax(np.abs(x))])
+    return x if info == 0 else None
 
 
 def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
@@ -919,38 +923,29 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
     """Ground state of the discrete Dirichlet Hamiltonian that the evolver steps with.
 
     Both take H from one builder, so the state is an eigenvector of the
-    Crank-Nicolson operator up to the eigensolver's residual.  Each step
-    turns that residual's components in the low modes by their own phase
-    rates, so |psi| drifts by a roundoff that grows with the step count
-    and the dispersion number r: within r * steps * eps over 100 steps at
-    Koch levels 6-9, while the total probability drifts by only about
-    1e-13 at level 9.
-
-    The lowest eigenvalue is found by ``dstebz`` bisection on the bracket
-    of :func:`_ground_bracket` when that holds exactly one eigenvalue, and
-    from H's Gershgorin interval otherwise; ``dstein`` inverse iteration
-    then gives its vector.
+    Crank-Nicolson operator up to the eigensolver's residual, whose low-mode
+    components each step turns by their own phase rates: |psi| drifts within
+    r * steps * eps (r the dispersion number) over 100 steps at Koch levels
+    6-9, the total probability by about 1e-13 at level 9.  The state comes
+    from :func:`_certified_ground`, else from ``dstebz`` bisection on H's
+    Gershgorin interval and ``dstein``.
     """
     dof, sqrt_w, kinetic, band, v = _xi_hamiltonian(space_chart, constants, potential, False)
     diag = kinetic + v[dof]
     lapack = _lapack()
-    # at Koch level 9 the Gershgorin interval spans 1.8e11, about 52
-    # bisections of one Sturm count each; a bracket of one eigenvalue takes
-    # about 20, and a count comes first so that a bracket of many never costs
-    # one bisection each
-    bracket = _ground_bracket(space_chart.values, dof, sqrt_w, v, diag, band, constants)
-    if bracket is not None and _eigenvalue_count(lapack, diag, band, *bracket) == 1:
-        m, w, iblock, isplit, info = lapack.dstebz(diag, band, 1, *bracket, 0, 0, 0.0, "B")
-    else:
+    x = _certified_ground(lapack, diag, band,
+                          _ground_trial(space_chart.values, dof, sqrt_w, v, constants))
+    if x is None:
         # what eigh_tridiagonal(select="i", select_range=(0, 0)) runs
         m, w, iblock, isplit, info = lapack.dstebz(diag, band, 2, 0.0, 0.0, 1, 1, 0.0, "B")
-    if info == 0:
-        vecs, info = lapack.dstein(diag, band, w[:m], iblock, isplit)
-    # info 0 with a non-finite vector: dstein's scaling overflows on H of norm ~1e152
-    if info != 0 or not np.isfinite(vecs[:, 0]).all():
-        raise SolverError(f"ground-state eigensolver failed (LAPACK info {info})")
+        if info == 0:
+            vecs, info = lapack.dstein(diag, band, w[:m], iblock, isplit)
+        # info 0 with a non-finite vector: dstein's scaling overflows on H of norm ~1e152
+        if info != 0 or not np.isfinite(vecs[:, 0]).all():
+            raise SolverError(f"ground-state eigensolver failed (LAPACK info {info})")
+        x = vecs[:, 0]
     values = np.zeros(grid.node_count, dtype=complex)
-    values[dof] = vecs[:, 0] / sqrt_w
+    values[dof] = x / sqrt_w
     return WaveFunction(FieldOnCurve(grid, values, space_chart), constants=constants).normalized()
 
 

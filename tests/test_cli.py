@@ -498,23 +498,33 @@ def test_physics_that_overflows_h_exits_2(tmp_path, capfd, monkeypatch, key, val
 
 
 def test_non_finite_ground_state_exits_1(tmp_path, capfd, monkeypatch):
-    # dstein returns a NaN vector with info 0 where its scaling overflows, as
-    # on Koch L3 at mass 1e-150 (H's largest coupling 2.7e153, whose square is
-    # finite); faked here, so that the test does not depend on one LAPACK build
+    # a NaN vector from the certified path's solve falls back to the
+    # Gershgorin bisection, whose dstein returns a NaN vector with info 0
+    # where its scaling overflows (on Koch L3 from mass 1e-148 with a wall
+    # minimum at omega 1e150); both faked here, so that the test does not
+    # depend on one LAPACK build
     lapack = dynamics._lapack()
+    called = []
 
-    class NaNStein:
+    class NaNVectors:
         def __getattr__(self, name):
             return getattr(lapack, name)
 
+        def dgttrs(self, *args, **kwargs):
+            called.append("dgttrs")
+            x, info = lapack.dgttrs(*args, **kwargs)
+            return np.full_like(x, np.nan), info
+
         def dstein(self, *args):
+            called.append("dstein")
             vecs, info = lapack.dstein(*args)
             return np.full_like(vecs, np.nan), info
 
-    monkeypatch.setattr(dynamics, "_lapack", NaNStein)
+    monkeypatch.setattr(dynamics, "_lapack", NaNVectors)
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path / "cfg.json", {**_GROUND_RUN, "output": str(out)})
     assert run_cli(["continuity", cfg]) == 1
+    assert called == ["dgttrs", "dstein"]
     assert json.loads((out / "error.json").read_text())["error"] == "SolverError"
     assert "Traceback" not in capfd.readouterr().err
 

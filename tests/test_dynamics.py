@@ -1,6 +1,8 @@
 import cmath
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -383,41 +385,51 @@ def _bisection_tolerance(diag, off):
     return np.finfo(float).eps * max(abs(np.min(diag - radius)), abs(np.max(diag + radius)))
 
 
-# the ground state's LAPACK calls on each path: ("dstebz", range, whether
-# it only counts, with the bracket's width as its tolerance) or ("dstein",)
-_BRACKET_CALLS = [("dstebz", 1, True), ("dstebz", 1, False), ("dstein",)]
-_FALLBACK_CALLS = [("dstebz", 1, True), ("dstebz", 2, False), ("dstein",)]
+# the ground state's LAPACK calls: each Rayleigh-quotient solve, the
+# certificate, and the fallback's Gershgorin bisection and inverse iteration
+_SOLVE_CALLS = ["dgttrf", "dgttrs"]
+_FALLBACK_CALLS = ["dstebz", "dstein"]
+
+
+def _certified_calls(solves):
+    return _SOLVE_CALLS * solves + ["dpttrf"]
 
 
 def _recorded_ground_state_lapack(monkeypatch):
-    """The ground state's LAPACK calls from now on, and the eigenvalues each ``dstebz`` returns."""
+    """The ground state's LAPACK calls from now on, as (routine, arguments, result)."""
     real = dynamics._lapack()
-    calls, eigenvalues = [], []
+    calls = []
 
-    def dstebz(d, e, select, vl, vu, il, iu, tol, order):
-        m, w, *rest = real.dstebz(d, e, select, vl, vu, il, iu, tol, order)
-        calls.append(("dstebz", select, tol > 0.0))
-        eigenvalues.append(w[:m].copy())
-        return (m, w, *rest)
+    def recorded(name):
+        def call(*args, **kwargs):
+            result = getattr(real, name)(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+        return call
 
-    def dstein(*args):
-        calls.append(("dstein",))
-        return real.dstein(*args)
-
-    monkeypatch.setattr(dynamics, "_lapack", lambda: SimpleNamespace(dstebz=dstebz, dstein=dstein))
-    return calls, eigenvalues
+    routines = _SOLVE_CALLS + ["dpttrf"] + _FALLBACK_CALLS
+    monkeypatch.setattr(dynamics, "_lapack",
+                        lambda: SimpleNamespace(**{name: recorded(name) for name in routines}))
+    return calls
 
 
-@pytest.mark.parametrize("center_frac", [0.5, 0.0], ids=["bracket", "gershgorin"])
+def _names(calls):
+    return [name for name, _, _ in calls]
+
+
+@pytest.mark.parametrize("center_frac", [0.5, 0.0], ids=["certified", "gershgorin"])
 def test_flapack_ground_state_matches_scipy_linalg_lapack(koch5, monkeypatch, center_frac):
-    # dstebz on the certified bracket (a centred V) and on the Gershgorin
-    # interval (a wall minimum), then dstein, give the same bits through
-    # the private module and through scipy.linalg.lapack
+    # the certified path (a centred V) and the Gershgorin bisection that a
+    # wall minimum falls back to give the same bits through the private
+    # module and through scipy.linalg.lapack
     from scipy.linalg import lapack as public
 
     grid, chart = koch5
     potential = _harmonic(grid, chart, center_frac=center_frac)
-    gs = fc.stationary_ground_state(grid, chart, potential)
+    with monkeypatch.context() as patch:
+        calls = _recorded_ground_state_lapack(patch)
+        gs = fc.stationary_ground_state(grid, chart, potential)
+    assert _names(calls)[-1] == ("dpttrf" if center_frac else "dstein")
     monkeypatch.setattr(dynamics, "_lapack", lambda: public)
     assert _same_bits(gs.values, fc.stationary_ground_state(grid, chart, potential).values)
 
@@ -425,68 +437,137 @@ def test_flapack_ground_state_matches_scipy_linalg_lapack(koch5, monkeypatch, ce
 @pytest.mark.parametrize("omega", [1.0, 60.0, 200.0, 1e4])
 def test_ground_state_agrees_with_eigh_tridiagonal(koch5, monkeypatch, omega):
     # an independent oracle: the lowest eigenpair from eigh_tridiagonal's
-    # Gershgorin-interval bisection.  lambda agrees within twice dstebz's
-    # tolerance; the vectors, both from dstein, agree to roundoff (measured
-    # 1 - |<v, v_ref>| <= 9e-16 on 945 harmonic configs at Koch levels 3-7)
+    # Gershgorin-interval bisection and inverse iteration.  The certified
+    # state's Rayleigh quotient agrees with its lambda within twice dstebz's
+    # tolerance, and the vectors agree to roundoff (measured
+    # 1 - |<v, v_ref>| <= 2.2e-16 on 270 harmonic configs at Koch levels 3-7)
     grid, chart = koch5
     potential = _harmonic(grid, chart, omega)
     lam_ref, expect = _eigh_ground_state(grid, chart, potential)
-    _, eigenvalues = _recorded_ground_state_lapack(monkeypatch)
+    calls = _recorded_ground_state_lapack(monkeypatch)
     gs = fc.stationary_ground_state(grid, chart, potential)
+    assert _names(calls)[-1] == "dpttrf"
     dof, sqrt_w, diag, off, _ = _ground_state_h(chart, potential)
-    (lam,) = eigenvalues[-1]
+    x, y = gs.values[dof].real * sqrt_w, expect.values[dof].real * sqrt_w
+    lam, _ = dynamics._rayleigh_residual(diag, off, x / np.linalg.norm(x))
     assert abs(lam - lam_ref) <= 2.0 * _bisection_tolerance(diag, off)
-    x, y = gs.values[dof] * sqrt_w, expect.values[dof] * sqrt_w
     assert 1.0 - abs(np.vdot(x, y)) / (np.linalg.norm(x) * np.linalg.norm(y)) <= 1e-13
 
 
-def test_ground_state_bracket_holds_an_exact_eigenvectors_rounded_quotient(koch5, monkeypatch):
+def test_ground_state_certifies_an_exact_eigenvectors_rounded_quotient(koch5, monkeypatch):
     # with the exact eigenvector as the trial, its computed Rayleigh quotient
-    # may round below lambda_0, so an unpadded bracket (min V, RQ] would
-    # count no eigenvalue; the pad keeps it, so the bracket path runs
+    # rounds to either side of lambda_0, so H - sigma I need not be positive
+    # definite; the certificate's shift mu = sigma - r - pad keeps it so, and
+    # one solve, which moves sigma by under an ulp, certifies the state
     grid, chart = koch5
     real = dynamics._lapack()
-    rounded_below = 0
+    indefinite_at_sigma = 0
     for omega in (1.0, 10.0, 30.0, 60.0, 100.0, 200.0, 1e3, 1e4):
         potential = _harmonic(grid, chart, omega)
-        lam_ref, expect = _eigh_ground_state(grid, chart, potential)
-        dof, sqrt_w, diag, off, v = _ground_state_h(chart, potential)
+        _, expect = _eigh_ground_state(grid, chart, potential)
+        dof, sqrt_w, diag, off, _ = _ground_state_h(chart, potential)
         exact = expect.values[dof].real * sqrt_w
-        quotient = dynamics._rayleigh_quotient(diag, off, exact)
-        lo = float(np.min(v[dof]))
-        unpadded, *_ = real.dstebz(diag, off, 1, lo, quotient, 0, 0, quotient - lo, "B")
-        rounded_below += unpadded == 0
+        quotient, _ = dynamics._rayleigh_residual(diag, off, exact / np.linalg.norm(exact))
+        indefinite_at_sigma += real.dpttrf(diag - quotient, off)[-1] > 0
         with monkeypatch.context() as patch:
             patch.setattr(dynamics, "_ground_trial", lambda *args: exact.copy())
-            calls, eigenvalues = _recorded_ground_state_lapack(patch)
+            calls = _recorded_ground_state_lapack(patch)
             gs = fc.stationary_ground_state(grid, chart, potential)
-        assert calls == _BRACKET_CALLS, omega
-        (lam,) = eigenvalues[-1]
-        assert abs(lam - lam_ref) <= 2.0 * _bisection_tolerance(diag, off), omega
-        assert np.max(np.abs(gs.values - expect.values)) <= 1e-12 * np.max(np.abs(expect.values))
-    # rounding goes either way: 4 of these 8 round below at Koch level 5
-    assert rounded_below > 0
+        assert _names(calls) == _certified_calls(1), omega
+        x = gs.values[dof].real * sqrt_w
+        assert 1.0 - abs(np.vdot(x, exact)) / (np.linalg.norm(x) * np.linalg.norm(exact)) <= 1e-13
+    # 6 of these 8 quotients are not below lambda_0 as dpttrf sees it, at Koch level 5
+    assert indefinite_at_sigma > 0
 
 
-@pytest.mark.parametrize("case", ["oscillator", "constant", "wall"])
-def test_ground_state_calls_bracket_or_gershgorin_bisection(koch5, monkeypatch, case):
-    # a centred V's oscillator trial brackets lambda_0 alone; a constant
-    # trial (its quotient lies far above lambda_1) and a wall minimum of V
-    # (the sine's bracket holds several eigenvalues) take the Gershgorin
-    # interval's bisection, whose state is the oracle's to the bit
+@pytest.mark.parametrize("case", ["oscillator", "constant", "wall", "excited"])
+def test_ground_state_calls_certified_or_gershgorin_path(koch5, monkeypatch, case):
+    # a centred V's oscillator trial is certified after three solves.  A
+    # constant trial (its quotient far above lambda_1) and a wall minimum of
+    # V (the sine trial) do not converge within the solve cap, and the
+    # oracle's second eigenvector converges at once to lambda_1, where the
+    # certificate fails; all three fall back to the Gershgorin bisection,
+    # whose state is the oracle's to the bit
+    from scipy.linalg import eigh_tridiagonal
+
     grid, chart = koch5
     potential = _harmonic(grid, chart, center_frac=0.0 if case == "wall" else 0.5)
     _, expect = _eigh_ground_state(grid, chart, potential)
-    if case == "constant":
-        monkeypatch.setattr(dynamics, "_ground_trial",
-                            lambda xi, dof, sqrt_w, v, constants: np.ones(len(sqrt_w)))
-    calls, eigenvalues = _recorded_ground_state_lapack(monkeypatch)
+    _, _, diag, off, _ = _ground_state_h(chart, potential)
+    lam, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+    trial = {"constant": np.ones(len(diag)), "excited": vecs[:, 1]}.get(case)
+    if trial is not None:
+        monkeypatch.setattr(dynamics, "_ground_trial", lambda *args: trial.copy())
+    calls = _recorded_ground_state_lapack(monkeypatch)
     gs = fc.stationary_ground_state(grid, chart, potential)
+    names = _names(calls)
     if case == "oscillator":
-        assert calls == _BRACKET_CALLS and len(eigenvalues[0]) == 1
+        assert names == _certified_calls(3)
+    elif case == "excited":
+        assert names == _certified_calls(1) + _FALLBACK_CALLS
+        # the certificate's mu = sigma - r - pad lies between lambda_0 and
+        # lambda_1, so H - mu I is not positive definite
+        _, (shifted, _), (*_, info) = calls[2]
+        assert lam[0] < diag[0] - shifted[0] < lam[1] and info > 0
     else:
-        assert calls == _FALLBACK_CALLS and len(eigenvalues[0]) > 1
+        assert names == _SOLVE_CALLS * dynamics._RQI_SOLVES + _FALLBACK_CALLS
+    if case != "oscillator":
         assert _same_bits(gs.values, expect.values)
+
+
+def test_ground_state_past_dsteins_scaling_is_certified(monkeypatch):
+    # at mass 1e-148 on Koch L3, H's largest coupling is about 3e151, where
+    # dstein's scaling overflows to a NaN vector; the certified path's sums
+    # do not overflow, and its state is the oracle's for H times 2^-500, a
+    # scaling that no rounding moves
+    from scipy.linalg import eigh_tridiagonal
+
+    grid = fc.build_koch(3)
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    constants = fc.PhysicalConstants(mass=1e-148)
+    potential = fc.PotentialOnCurve(fc.FieldOnCurve.constant(grid, chart, 0.0))
+    calls = _recorded_ground_state_lapack(monkeypatch)
+    gs = fc.stationary_ground_state(grid, chart, potential, constants)
+    assert _names(calls)[-1] == "dpttrf"
+    dof, sqrt_w, kinetic, off, _ = dynamics._xi_hamiltonian(chart, constants, potential, False)
+    _, vecs = eigh_tridiagonal(kinetic * 2.0 ** -500, off * 2.0 ** -500,
+                               select="i", select_range=(0, 0))
+    x = gs.values[dof].real * sqrt_w
+    assert 1.0 - abs(np.vdot(x, vecs[:, 0])) / np.linalg.norm(x) <= 1e-13
+
+
+def test_ground_state_bits_do_not_depend_on_the_blas_thread_count():
+    # the certified path sums with numpy, never a BLAS dot product, so at
+    # Koch level 8 (65 537 nodes, past the size at which OpenBLAS threads its
+    # dot product) its bytes are the same on one BLAS thread and on two
+    script = (
+        "import math, sys\n"
+        "import fractalcurve as fc\n"
+        "from fractalcurve import dynamics\n"
+        "real, calls = dynamics._lapack(), []\n"
+        "class Recorded:\n"
+        "    def __getattr__(self, name):\n"
+        "        calls.append(name)\n"
+        "        return getattr(real, name)\n"
+        "dynamics._lapack = Recorded\n"
+        "grid = fc.build_koch(8)\n"
+        "chart = fc.build_staircase(grid, math.log(4.0) / math.log(3.0))\n"
+        "center = 0.5 * (chart.values[0] + chart.values[-1])\n"
+        "potential = fc.PotentialOnCurve(fc.FieldOnCurve.from_chart_function(\n"
+        "    grid, chart, lambda s: 0.5 * 137.0 ** 2 * (s - center) ** 2))\n"
+        "gs = fc.stationary_ground_state(grid, chart, potential)\n"
+        "assert calls[-1] == 'dpttrf', calls\n"
+        "sys.stdout.buffer.write(gs.values.tobytes())\n")
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == 16 * 65537 and outputs[0] == outputs[1]
 
 
 def test_missing_lapack_extension_names_the_scipy_version(no_flapack):
@@ -644,7 +725,7 @@ def test_harmonic_ground_state_is_stationary():
     # the modulus drifts through the eigenvector's residual, whose low modes
     # dephase step by step; over 100 steps (every 10th checked, as in the
     # benchmark's continuity-l9) it stays within r N eps, the benchmark's
-    # bound (measured 0.06-0.53 of it at Koch L6-L7)
+    # bound (measured 0.04-0.42 of it at Koch L6-L7)
     eps = np.finfo(float).eps
     for level in (6, 7):
         grid = fc.build_koch(level)
