@@ -439,8 +439,9 @@ def test_ground_state_agrees_with_eigh_tridiagonal(koch5, monkeypatch, omega):
     # an independent oracle: the lowest eigenpair from eigh_tridiagonal's
     # Gershgorin-interval bisection and inverse iteration.  The certified
     # state's Rayleigh quotient agrees with its lambda within twice dstebz's
-    # tolerance, and the vectors agree to roundoff (measured
-    # 1 - |<v, v_ref>| <= 2.2e-16 on 270 harmonic configs at Koch levels 3-7)
+    # tolerance, and the vectors agree to roundoff, dstein's sign included
+    # (measured 1 - <v, v_ref> <= 2.2e-16 on 270 harmonic configs at Koch
+    # levels 3-7)
     grid, chart = koch5
     potential = _harmonic(grid, chart, omega)
     lam_ref, expect = _eigh_ground_state(grid, chart, potential)
@@ -451,20 +452,24 @@ def test_ground_state_agrees_with_eigh_tridiagonal(koch5, monkeypatch, omega):
     x, y = gs.values[dof].real * sqrt_w, expect.values[dof].real * sqrt_w
     lam, _ = dynamics._rayleigh_residual(diag, off, x / np.linalg.norm(x))
     assert abs(lam - lam_ref) <= 2.0 * _bisection_tolerance(diag, off)
-    assert 1.0 - abs(np.vdot(x, y)) / (np.linalg.norm(x) * np.linalg.norm(y)) <= 1e-13
+    assert 1.0 - np.vdot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)) <= 1e-13
 
 
 def test_ground_state_certifies_an_exact_eigenvectors_rounded_quotient(koch5, monkeypatch):
     # with the exact eigenvector as the trial, its computed Rayleigh quotient
     # rounds to either side of lambda_0, so H - sigma I need not be positive
     # definite; the certificate's shift mu = sigma - r - pad keeps it so, and
-    # one solve, which moves sigma by under an ulp, certifies the state
+    # one solve, which moves sigma by under an ulp, certifies the state.  Its
+    # quotient is the oracle's lambda within twice dstebz's tolerance, and it
+    # keeps dstein's sign: pointwise within 1e-10 of the oracle's maximum, a
+    # bound above the vector's conditioning eps |H| / gap (3e-11 at omega 1
+    # and 10, where the gap measured 1.6e-12)
     grid, chart = koch5
     real = dynamics._lapack()
     indefinite_at_sigma = 0
     for omega in (1.0, 10.0, 30.0, 60.0, 100.0, 200.0, 1e3, 1e4):
         potential = _harmonic(grid, chart, omega)
-        _, expect = _eigh_ground_state(grid, chart, potential)
+        lam_ref, expect = _eigh_ground_state(grid, chart, potential)
         dof, sqrt_w, diag, off, _ = _ground_state_h(chart, potential)
         exact = expect.values[dof].real * sqrt_w
         quotient, _ = dynamics._rayleigh_residual(diag, off, exact / np.linalg.norm(exact))
@@ -475,7 +480,9 @@ def test_ground_state_certifies_an_exact_eigenvectors_rounded_quotient(koch5, mo
             gs = fc.stationary_ground_state(grid, chart, potential)
         assert _names(calls) == _certified_calls(1), omega
         x = gs.values[dof].real * sqrt_w
-        assert 1.0 - abs(np.vdot(x, exact)) / (np.linalg.norm(x) * np.linalg.norm(exact)) <= 1e-13
+        lam, _ = dynamics._rayleigh_residual(diag, off, x / np.linalg.norm(x))
+        assert abs(lam - lam_ref) <= 2.0 * _bisection_tolerance(diag, off), omega
+        assert np.max(np.abs(gs.values - expect.values)) <= 1e-10 * np.max(np.abs(expect.values))
     # 6 of these 8 quotients are not below lambda_0 as dpttrf sees it, at Koch level 5
     assert indefinite_at_sigma > 0
 
@@ -533,7 +540,7 @@ def test_ground_state_past_dsteins_scaling_is_certified(monkeypatch):
     _, vecs = eigh_tridiagonal(kinetic * 2.0 ** -500, off * 2.0 ** -500,
                                select="i", select_range=(0, 0))
     x = gs.values[dof].real * sqrt_w
-    assert 1.0 - abs(np.vdot(x, vecs[:, 0])) / np.linalg.norm(x) <= 1e-13
+    assert 1.0 - np.vdot(x, vecs[:, 0]) / np.linalg.norm(x) <= 1e-13
 
 
 def test_ground_state_bits_do_not_depend_on_the_blas_thread_count():
