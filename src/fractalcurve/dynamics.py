@@ -289,8 +289,8 @@ def _check_xi_points(xi_points, count: int):
 def _lapack():
     """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded from its file.
 
-    The steps need its ``zgttrf`` and ``zgttrs``, the ground state ``dgttrf``,
-    ``dgttrs``, ``dpttrf`` and, to fall back, ``dstebz`` and ``dstein``.  It
+    The steps need its ``zgttrf`` and ``zgttrs``, the ground state ``dpttrf``,
+    ``dpttrs``, ``dgttrf``, ``dgttrs`` and, to fall back, ``dstebz`` and ``dstein``.  It
     loads in a few ms; importing the ``scipy.linalg`` package around it would
     cost about 0.3 s and 20 MB, so the parent packages are never imported (nor
     found through ``importlib.util.find_spec``, which imports them).  It is
@@ -828,36 +828,6 @@ def gaussian_packet(grid: CurveGrid, space_chart: Staircase, center: float, sigm
                         constants=constants).normalized()
 
 
-def _ground_trial(xi, dof, sqrt_w, v, constants: PhysicalConstants) -> np.ndarray:
-    """A trial for the ground state, in phi = W^1/2 theta on the Dirichlet unknowns ``dof``.
-
-    The box's lowest sine sin(pi (xi - xi_0) / L), times, where V has an
-    interior minimum xi* of finite positive discrete curvature V'', the
-    oscillator Gaussian exp(-sqrt(m V'') / (2 hbar) (xi - xi*)^2), which is
-    the exact ground state of a harmonic V.  Any nonzero trial serves
-    :func:`stationary_ground_state`: a poor one costs solves or the
-    fallback, never the right state.  Overflow and underflow are silent
-    here: an overflowing curvature leaves the sine alone.
-    """
-    with np.errstate(all="ignore"):
-        x = xi[dof] - xi[0]
-        x *= math.pi / (xi[-1] - xi[0])
-        np.sin(x, out=x)
-        j = int(np.argmin(v))
-        if 0 < j < len(v) - 1:
-            h_left, h_right = xi[j] - xi[j - 1], xi[j + 1] - xi[j]
-            curvature = 2.0 * ((v[j + 1] - v[j]) / h_right
-                               - (v[j] - v[j - 1]) / h_left) / (h_left + h_right)
-            rate = np.sqrt(constants.mass * curvature) / (2.0 * constants.hbar)
-            if 0.0 < rate < math.inf:
-                g = xi[dof] - xi[j]
-                g *= g
-                g *= -rate
-                x *= np.exp(g, out=g)
-        x *= sqrt_w
-    return x
-
-
 def _rayleigh_residual(diag, band, x) -> tuple[float, float]:
     """sigma = x^T H x and r = ||H x - sigma x|| of a unit x.
 
@@ -872,20 +842,32 @@ def _rayleigh_residual(diag, band, x) -> tuple[float, float]:
     return sigma, math.sqrt(np.sum(hx))
 
 
-# The certificate pads mu by this many ulps of |d|_max + 2 |e|_max, a bound on
-# |H|: dpttrf's pivots are a Sturm count's, exact for an H off by a few ulps
-# (Demmel, Applied Numerical Linear Algebra, 1997, sec. 5.3)
+# The shifts below lambda_0 and the certificate pad by this many ulps of
+# |d|_max + 2 |e|_max, a bound on |H|: dpttrf's pivots are a Sturm count's, exact
+# for an H off by a few ulps (Demmel, Applied Numerical Linear Algebra, 1997,
+# sec. 5.3)
 _PAD_ULPS = 8.0
+# Inverse-iteration solves below lambda_0 that start every ground state.  At
+# Koch level 9 (omega 60-200) the iteration then takes 3 solves after 1 of
+# them, 2 after 2 (3 for a wall minimum of V) and 2 after 3, where a dpttrs
+# costs about a quarter of one of its solves
+_START_SOLVES = 2
 # The iteration stops once a solve moves sigma by at most an ulp and leaves r
 # within this many, over its roundoff floor (up to 14 at Koch levels 6-9)
 _RQI_ULPS = 32.0
 _RQI_SOLVES = 4
 
 
-def _certified_ground(lapack, diag, band, x):
-    """lambda_0's unit vector by Rayleigh-quotient iteration from the trial x, or None.
+def _certified_ground(lapack, diag, band, x, v_min):
+    """lambda_0's unit vector by inverse iteration, then Rayleigh-quotient iteration, or None.
 
-    Each solve x <- (H - sigma I)^-1 x (``dgttrf``, ``dgttrs``) gives
+    The stiffness is positive definite on the Dirichlet unknowns, so
+    lambda_0 > min V = ``v_min`` and ``dpttrf`` factors H - mu_0 I at
+    mu_0 = v_min - pad.  H's couplings are negative, so lambda_0's vector
+    is positive (Perron-Frobenius) and a positive x has a component along
+    it; each ``dpttrs`` solve shrinks every other component, relative to
+    that one, by (lambda_0 - mu_0) / (lambda_k - mu_0) or more.  Then each
+    solve x <- (H - sigma I)^-1 x (``dgttrf``, ``dgttrs``) gives
     sigma = x^T H x and r = ||H x - sigma x||, with an eigenvalue within r
     of sigma.  An error of angle delta raises sigma by about delta^2 times
     a gap and the next solve cubes it, so once a solve moves sigma by at
@@ -896,7 +878,13 @@ def _certified_ground(lapack, diag, band, x):
     with np.errstate(all="ignore"):
         ulp = np.finfo(float).eps * (max(abs(diag.max()), abs(diag.min()))
                                      + 2.0 * max(abs(band.max()), abs(band.min())))
-        x /= math.sqrt(np.sum(x * x))
+        *lu, info = lapack.dpttrf(diag - (v_min - _PAD_ULPS * ulp), band, overwrite_d=1)
+        if info != 0:
+            return None
+        for _ in range(_START_SOLVES):
+            # normalized each time: (lambda_0 - mu_0)^-2 can leave float's range
+            x = lapack.dpttrs(*lu, x)[0]
+            x /= math.sqrt(np.sum(x * x))
         sigma, r = _rayleigh_residual(diag, band, x)
         for _ in range(_RQI_SOLVES):
             *lu, info = lapack.dgttrf(band, diag - sigma, band, overwrite_d=1)
@@ -927,14 +915,14 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
     components each step turns by their own phase rates: |psi| drifts within
     r * steps * eps (r the dispersion number) over 100 steps at Koch levels
     6-9, the total probability by about 1e-13 at level 9.  The state comes
-    from :func:`_certified_ground`, else from ``dstebz`` bisection on H's
-    Gershgorin interval and ``dstein``.
+    from :func:`_certified_ground`, started from sqrt(w) (theta = 1) for
+    every V, else from ``dstebz`` bisection on H's Gershgorin interval and
+    ``dstein``.
     """
     dof, sqrt_w, kinetic, band, v = _xi_hamiltonian(space_chart, constants, potential, False)
     diag = kinetic + v[dof]
     lapack = _lapack()
-    x = _certified_ground(lapack, diag, band,
-                          _ground_trial(space_chart.values, dof, sqrt_w, v, constants))
+    x = _certified_ground(lapack, diag, band, sqrt_w, v[dof].min())
     if x is None:
         # what eigh_tridiagonal(select="i", select_range=(0, 0)) runs
         m, w, iblock, isplit, info = lapack.dstebz(diag, band, 2, 0.0, 0.0, 1, 1, 0.0, "B")

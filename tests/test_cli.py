@@ -500,9 +500,9 @@ def test_physics_that_overflows_h_exits_2(tmp_path, capfd, monkeypatch, key, val
 def test_non_finite_ground_state_exits_1(tmp_path, capfd, monkeypatch):
     # a NaN vector from the certified path's solve falls back to the
     # Gershgorin bisection, whose dstein returns a NaN vector with info 0
-    # where its scaling overflows (on Koch L3 from mass 1e-148 with a wall
-    # minimum at omega 1e150); both faked here, so that the test does not
-    # depend on one LAPACK build
+    # where its scaling overflows (H's norm near 1e152); both faked here,
+    # since the configs known to overflow dstein are certified without it,
+    # and so that the test does not depend on one LAPACK build
     lapack = dynamics._lapack()
     called = []
 
