@@ -218,13 +218,10 @@ def build_generator_curve(generator: GeneratorSpec, level: int) -> CurveGrid:
     pts = np.array([_ORIGIN, _E1])
     for _ in range(level):
         blocks = [m.apply(pts) for m in generator.segments]
-        joined = [blocks[0]]
-        for prev, blk in zip(blocks, blocks[1:]):
-            # endpoint sharing was validated on the generator; drop the duplicate
-            joined.append(blk[1:])
-        pts = np.concatenate(joined)
-    n = len(pts) - 1
-    params = np.arange(n + 1, dtype=float) / n if n > 0 else np.array([0.0, 1.0])
+        # endpoint sharing was validated on the generator; drop the duplicates
+        pts = np.concatenate([blocks[0]] + [blk[1:] for blk in blocks[1:]])
+    n = len(pts) - 1  # n >= 1: pts starts with two nodes and no level shrinks it
+    params = np.arange(n + 1, dtype=float) / n
     return CurveGrid(params=params, points=pts, level=level, param_domain=(0.0, 1.0))
 
 

@@ -289,8 +289,8 @@ def _check_xi_points(xi_points, count: int):
 def _lapack():
     """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded from its file.
 
-    The steps need its ``zgttrf`` and ``zgttrs``, the ground state ``dpttrf``,
-    ``dpttrs``, ``dgttrf``, ``dgttrs`` and, to fall back, ``dstebz`` and ``dstein``.  It
+    The steps need its ``zgttrf`` and ``zgttrs``, the ground state ``dpttrf``
+    and ``dpttrs`` and, to fall back, ``dstebz`` and ``dstein``.  It
     loads in a few ms; importing the ``scipy.linalg`` package around it would
     cost about 0.3 s and 20 MB, so the parent packages are never imported (nor
     found through ``importlib.util.find_spec``, which imports them).  It is
@@ -592,6 +592,7 @@ def evolve(psi: WaveFunction, potential: PotentialOnCurve | None, d_tau: float,
 
 
 _MAX_KERNEL_IMAGES = 4000
+_TAIL = 25.0  # kernels and their panels end where |e^(b delta^2)| = e^-_TAIL
 
 
 def kernel_step(psi: WaveFunction, step: KernelStep, xi_points=None) -> WaveFunction:
@@ -630,8 +631,8 @@ def kernel_step(psi: WaveFunction, step: KernelStep, xi_points=None) -> WaveFunc
     delta = dxi * np.arange(m)
     delta[delta > span / 2.0] -= span
     b = _kernel_exponent(step, step.damping_eta)
-    # decay radius of |exp(b delta^2)| down to exp(-25)
-    cutoff = math.sqrt(25.0 / -b.real)
+    # decay radius of |exp(b delta^2)| down to exp(-_TAIL)
+    cutoff = math.sqrt(_TAIL / -b.real)
     images = int(math.ceil(cutoff / span))
     if images > _MAX_KERNEL_IMAGES:
         raise ResolutionError(
@@ -660,9 +661,6 @@ def _kernel_exponent(step: KernelStep, eta: float) -> complex:
     """b = i m / (2 hbar eps (1 - i eta)): the kernel is exp(b delta^2)."""
     eps_c = step.epsilon * (1.0 - 1j * eta)
     return 1j * step.constants.mass / (2.0 * step.constants.hbar * eps_c)
-
-
-_TAIL = 25.0  # the panels end where |e^(b u)| = e^-_TAIL
 
 
 def _kernel_panels(step: KernelStep, eta: float):
@@ -842,67 +840,62 @@ def _rayleigh_residual(diag, band, x) -> tuple[float, float]:
     return sigma, math.sqrt(np.sum(hx))
 
 
-# The shifts below lambda_0 and the certificate pad by this many ulps of
-# |d|_max + 2 |e|_max, a bound on |H|: dpttrf's pivots are a Sturm count's, exact
-# for an H off by a few ulps (Demmel, Applied Numerical Linear Algebra, 1997,
-# sec. 5.3)
+# The shifts below lambda_0 pad by this many ulps of |d|_max + 2 |e|_max, a bound
+# on |H|: dpttrf's pivots are a Sturm count's, exact for an H off by a few ulps
+# (Demmel, Applied Numerical Linear Algebra, 1997, sec. 5.3)
 _PAD_ULPS = 8.0
-# Inverse-iteration solves below lambda_0 that start every ground state.  At
-# Koch level 9 (omega 60-200) the iteration then takes 3 solves after 1 of
-# them, 2 after 2 (3 for a wall minimum of V) and 2 after 3, where a dpttrs
-# costs about a quarter of one of its solves
+# Inverse-iteration solves at min V - pad that start every ground state.  At
+# Koch level 9 (omega 60-200) the certified shifts then take 3 solves
 _START_SOLVES = 2
 # The iteration stops once a solve moves sigma by at most an ulp and leaves r
-# within this many, over its roundoff floor (up to 14 at Koch levels 6-9)
-_RQI_ULPS = 32.0
-_RQI_SOLVES = 4
+# within this many, about 5 times its roundoff floor: each dpttrs solve is
+# backward stable, and r measured at most 0.77 ulp on 196 harmonic V at Koch
+# levels 3-9
+_RESIDUAL_ULPS = 4.0
+_SOLVES = 4
 
 
 def _certified_ground(lapack, diag, band, x, v_min):
-    """lambda_0's unit vector by inverse iteration, then Rayleigh-quotient iteration, or None.
+    """lambda_0's unit vector by inverse iteration at certified shifts below lambda_0, or None.
 
     The stiffness is positive definite on the Dirichlet unknowns, so
-    lambda_0 > min V = ``v_min`` and ``dpttrf`` factors H - mu_0 I at
-    mu_0 = v_min - pad.  H's couplings are negative, so lambda_0's vector
-    is positive (Perron-Frobenius) and a positive x has a component along
-    it; each ``dpttrs`` solve shrinks every other component, relative to
-    that one, by (lambda_0 - mu_0) / (lambda_k - mu_0) or more.  Then each
-    solve x <- (H - sigma I)^-1 x (``dgttrf``, ``dgttrs``) gives
-    sigma = x^T H x and r = ||H x - sigma x||, with an eigenvalue within r
-    of sigma.  An error of angle delta raises sigma by about delta^2 times
-    a gap and the next solve cubes it, so once a solve moves sigma by at
-    most an ulp none is left for r's roundoff to hide.  ``dpttrf`` then
-    proves H - mu I positive definite at mu = sigma - r - pad, so that
-    eigenvalue is lambda_0.  None without a certificate.
+    lambda_0 > min V = ``v_min`` and ``dpttrf`` factors H - mu I at
+    mu = v_min - pad.  H's couplings are negative, so lambda_0's vector is
+    positive (Perron-Frobenius) and a positive x has a component along it;
+    each ``dpttrs`` solve x <- (H - mu I)^-1 x shrinks every other
+    component, relative to that one, by (lambda_0 - mu) / (lambda_k - mu)
+    or more.  After the start each solve gives sigma = x^T H x and
+    r = ||H x - sigma x||, with an eigenvalue within r of sigma, and the
+    next shift is mu = sigma - r - pad.  Its ``dpttrf`` proves H - mu I
+    positive definite, so that eigenvalue is lambda_0, and its factors
+    give the next solve: an error of angle delta leaves lambda_0 - mu at
+    about delta times the gap, so each solve squares delta.  The state is
+    certified once that factorization follows a solve that moved sigma by
+    at most an ulp; None on a failed factorization, a non-finite value or
+    ``_SOLVES`` solves after the start without it.
     """
     with np.errstate(all="ignore"):
         ulp = np.finfo(float).eps * (max(abs(diag.max()), abs(diag.min()))
                                      + 2.0 * max(abs(band.max()), abs(band.min())))
         *lu, info = lapack.dpttrf(diag - (v_min - _PAD_ULPS * ulp), band, overwrite_d=1)
-        if info != 0:
-            return None
-        for _ in range(_START_SOLVES):
-            # normalized each time: (lambda_0 - mu_0)^-2 can leave float's range
-            x = lapack.dpttrs(*lu, x)[0]
-            x /= math.sqrt(np.sum(x * x))
-        sigma, r = _rayleigh_residual(diag, band, x)
-        for _ in range(_RQI_SOLVES):
-            *lu, info = lapack.dgttrf(band, diag - sigma, band, overwrite_d=1)
-            if info == 0:
-                x, info = lapack.dgttrs(*lu, x, overwrite_b=1)
+        sigma = math.nan  # so the first quotient never counts as settled
+        for solve in range(_START_SOLVES + _SOLVES):
             if info != 0:
                 return None
+            # normalized each time: (lambda_0 - mu)^-2 can leave float's range
+            x = lapack.dpttrs(*lu, x)[0]
             x /= math.sqrt(np.sum(x * x))
+            if solve + 1 < _START_SOLVES:
+                continue
             shift, (sigma, r) = sigma, _rayleigh_residual(diag, band, x)
-            if not math.isfinite(sigma) or r <= _RQI_ULPS * ulp and abs(sigma - shift) <= ulp:
-                break
-        else:
-            return None
-        mu = sigma - r - _PAD_ULPS * ulp
-        info = lapack.dpttrf(diag - mu, band, overwrite_d=1)[-1] if math.isfinite(mu) else -1
-        # dstein's sign: the component of largest modulus positive
-        x *= math.copysign(1.0, x[np.argmax(np.abs(x))])
-    return x if info == 0 else None
+            mu = sigma - r - _PAD_ULPS * ulp
+            if not math.isfinite(mu):
+                return None
+            *lu, info = lapack.dpttrf(diag - mu, band, overwrite_d=1)
+            if info == 0 and r <= _RESIDUAL_ULPS * ulp and abs(sigma - shift) <= ulp:
+                # dstein's sign: the component of largest modulus positive
+                return x * math.copysign(1.0, x[np.argmax(np.abs(x))])
+    return None
 
 
 def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
@@ -915,9 +908,10 @@ def stationary_ground_state(grid: CurveGrid, space_chart: Staircase,
     components each step turns by their own phase rates: |psi| drifts within
     r * steps * eps (r the dispersion number) over 100 steps at Koch levels
     6-9, the total probability by about 1e-13 at level 9.  The state comes
-    from :func:`_certified_ground`, started from sqrt(w) (theta = 1) for
-    every V, else from ``dstebz`` bisection on H's Gershgorin interval and
-    ``dstein``.
+    from :func:`_certified_ground`, inverse iteration from sqrt(w)
+    (theta = 1) for every V at shifts that its ``dpttrf`` factorizations
+    prove to lie below lambda_0, else from ``dstebz`` bisection on H's
+    Gershgorin interval and ``dstein``.
     """
     dof, sqrt_w, kinetic, band, v = _xi_hamiltonian(space_chart, constants, potential, False)
     diag = kinetic + v[dof]

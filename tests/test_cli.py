@@ -510,9 +510,9 @@ def test_non_finite_ground_state_exits_1(tmp_path, capfd, monkeypatch):
         def __getattr__(self, name):
             return getattr(lapack, name)
 
-        def dgttrs(self, *args, **kwargs):
-            called.append("dgttrs")
-            x, info = lapack.dgttrs(*args, **kwargs)
+        def dpttrs(self, *args, **kwargs):
+            called.append("dpttrs")
+            x, info = lapack.dpttrs(*args, **kwargs)
             return np.full_like(x, np.nan), info
 
         def dstein(self, *args):
@@ -524,7 +524,7 @@ def test_non_finite_ground_state_exits_1(tmp_path, capfd, monkeypatch):
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path / "cfg.json", {**_GROUND_RUN, "output": str(out)})
     assert run_cli(["continuity", cfg]) == 1
-    assert called == ["dgttrs", "dstein"]
+    assert called == ["dpttrs"] * dynamics._START_SOLVES + ["dstein"]
     assert json.loads((out / "error.json").read_text())["error"] == "SolverError"
     assert "Traceback" not in capfd.readouterr().err
 

@@ -385,11 +385,12 @@ def _bisection_tolerance(diag, off):
     return np.finfo(float).eps * max(abs(np.min(diag - radius)), abs(np.max(diag + radius)))
 
 
-# the ground state's LAPACK calls: the inverse iteration below lambda_0 that
-# starts it, each Rayleigh-quotient solve, the certificate, and the
-# fallback's Gershgorin bisection and inverse iteration
+# the ground state's LAPACK calls: the inverse iteration at min V - pad that
+# starts it, each solve at a certified shift below lambda_0, the
+# factorization that certifies the last one, and the fallback's Gershgorin
+# bisection and inverse iteration
 _START_CALLS = ["dpttrf"] + ["dpttrs"] * dynamics._START_SOLVES
-_SOLVE_CALLS = ["dgttrf", "dgttrs"]
+_SOLVE_CALLS = ["dpttrf", "dpttrs"]
 _FALLBACK_CALLS = ["dstebz", "dstein"]
 
 
@@ -417,7 +418,7 @@ def _recorded_ground_state_lapack(monkeypatch):
             return result
         return call
 
-    routines = ["dpttrf", "dpttrs"] + _SOLVE_CALLS + _FALLBACK_CALLS
+    routines = _SOLVE_CALLS + _FALLBACK_CALLS
     monkeypatch.setattr(dynamics, "_lapack",
                         lambda: SimpleNamespace(**{name: recorded(name) for name in routines}))
     return calls
@@ -453,7 +454,7 @@ def test_ground_state_agrees_with_eigh_tridiagonal(koch5, monkeypatch, omega):
     # centred, off centre and on a wall, the certified state's Rayleigh
     # quotient agrees with its lambda within twice dstebz's tolerance, and
     # the vectors agree to roundoff, dstein's sign included (measured
-    # 1 - <v, v_ref> <= 2.2e-16 and the quotient within 0.56 of the tolerance
+    # 1 - <v, v_ref> <= 2.2e-16 and the quotient within 0.53 of the tolerance
     # on 140 harmonic configs at Koch levels 3-7, center_frac 0 to 0.5)
     grid, chart = koch5
     for center_frac in (0.5, 0.3, 0.0):
@@ -474,11 +475,11 @@ def test_ground_state_agrees_with_eigh_tridiagonal(koch5, monkeypatch, omega):
 def test_ground_state_certifies_an_exact_eigenvectors_rounded_quotient(koch5, monkeypatch):
     # started from the exact eigenvector, which the solves below lambda_0
     # keep, its computed Rayleigh quotient rounds to either side of
-    # lambda_0, so H - sigma I need not be positive definite; the
-    # certificate's shift mu = sigma - r - pad keeps it so, and one
-    # Rayleigh-quotient solve, which moves sigma by under an ulp, certifies
-    # the state.  Its quotient is the oracle's lambda within twice dstebz's
-    # tolerance, and it keeps dstein's sign: pointwise within 1e-10 of the
+    # lambda_0, so H - sigma I need not be positive definite; the shift
+    # mu = sigma - r - pad keeps it so, and one solve there, which moves
+    # sigma by under an ulp, is certified by the next factorization.  Its
+    # quotient is the oracle's lambda within twice dstebz's tolerance, and
+    # it keeps dstein's sign: pointwise within 1e-10 of the
     # oracle's maximum, a bound above the vector's conditioning eps |H| / gap
     # (3e-11 at omega 1 and 10, where the gap measured 1.6e-12)
     grid, chart = koch5
@@ -506,12 +507,13 @@ def test_ground_state_certifies_an_exact_eigenvectors_rounded_quotient(koch5, mo
 
 @pytest.mark.parametrize("case", ["oscillator", "constant", "wall", "excited"])
 def test_ground_state_calls_certified_or_gershgorin_path(koch5, monkeypatch, case):
-    # every start is certified after three Rayleigh-quotient solves: sqrt(w)
-    # for a centred oscillator V and for a wall minimum of V, and a constant
-    # start, whose quotient lies far above lambda_1.  The oracle's second
-    # eigenvector, which the solves below lambda_0 keep, converges at once
-    # to lambda_1, where the certificate fails, and falls back to the
-    # Gershgorin bisection, whose state is the oracle's to the bit
+    # sqrt(w) for a centred oscillator V and a constant start, whose
+    # quotient lies far above lambda_1, are certified after three solves at
+    # shifts below lambda_0, sqrt(w) for a wall minimum of V after four.
+    # The oracle's second eigenvector, which the solves below lambda_0 keep,
+    # gives sigma at lambda_1, where the first certified shift's
+    # factorization fails, and falls back to the Gershgorin bisection,
+    # whose state is the oracle's to the bit
     from scipy.linalg import eigh_tridiagonal
 
     grid, chart = koch5
@@ -526,14 +528,52 @@ def test_ground_state_calls_certified_or_gershgorin_path(koch5, monkeypatch, cas
     gs = fc.stationary_ground_state(grid, chart, potential)
     names = _names(calls)
     if case == "excited":
-        assert names == _certified_calls(1) + _FALLBACK_CALLS
-        # the certificate's mu = sigma - r - pad lies between lambda_0 and
-        # lambda_1, so H - mu I is not positive definite
-        _, (shifted, _), (*_, info) = calls[len(_START_CALLS) + 2]
+        assert names == _START_CALLS + ["dpttrf"] + _FALLBACK_CALLS
+        # mu = sigma - r - pad lies between lambda_0 and lambda_1, so H - mu I
+        # is not positive definite
+        _, (shifted, _), (*_, info) = calls[len(_START_CALLS)]
         assert lam[0] < diag[0] - shifted[0] < lam[1] and info > 0
         assert _same_bits(gs.values, expect.values)
     else:
-        assert names == _certified_calls(3)
+        assert names == _certified_calls(4 if case == "wall" else 3)
+
+
+def test_ground_state_residual_sits_on_its_roundoff_floor():
+    # each solve at a certified shift is backward stable, so at Koch level 9
+    # the state's residual r = ||H x - sigma x|| stays within an ulp of
+    # |d|_max + 2 |e|_max (measured 0.22-0.25; Rayleigh-quotient iteration
+    # stopped at 10.4, 5.9 and 4.7 here, which set the modulus drift and
+    # the continuity residual of ground-state runs)
+    grid = fc.build_koch(9)
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    for omega in (78.8, 137.0, 193.8):
+        potential = _harmonic(grid, chart, omega)
+        gs = fc.stationary_ground_state(grid, chart, potential)
+        dof, sqrt_w, diag, off, _ = _ground_state_h(chart, potential)
+        x = gs.values[dof].real * sqrt_w
+        _, r = dynamics._rayleigh_residual(diag, off, x / np.linalg.norm(x))
+        ulp = np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
+        assert r <= ulp, omega
+
+
+def test_near_degenerate_double_well_falls_back_to_gershgorin_bisection(koch5, monkeypatch):
+    # the two lowest states of a double well of barrier 1e4 tilted by 1e-3
+    # of it, one in each well, lie 4.9 apart but about 640 above min V, so
+    # the start's solves at min V - pad barely separate them and the
+    # certified shifts do not converge within the solve budget (they would
+    # after 6 solves); the Gershgorin bisection's state is the oracle's to
+    # the bit
+    grid, chart = koch5
+    span = chart.values[-1] - chart.values[0]
+    center, half = chart.values[0] + 0.5 * span, 0.25 * span
+    potential = fc.PotentialOnCurve(fc.FieldOnCurve.from_chart_function(
+        grid, chart, lambda s: 1e4 * (((s - center) ** 2 - half ** 2) / half ** 2) ** 2
+        + 10.0 * (s - center) / span))
+    _, expect = _eigh_ground_state(grid, chart, potential)
+    calls = _recorded_ground_state_lapack(monkeypatch)
+    gs = fc.stationary_ground_state(grid, chart, potential)
+    assert _names(calls)[-len(_FALLBACK_CALLS):] == _FALLBACK_CALLS
+    assert _same_bits(gs.values, expect.values)
 
 
 def test_ground_state_past_dsteins_scaling_is_certified(monkeypatch):
@@ -751,7 +791,7 @@ def test_harmonic_ground_state_is_stationary():
     # the modulus drifts through the eigenvector's residual, whose low modes
     # dephase step by step; over 100 steps (every 10th checked, as in the
     # benchmark's continuity-l9) it stays within r N eps, the benchmark's
-    # bound (measured 0.04-0.42 of it at Koch L6-L7)
+    # bound (measured 0.01-0.16 of it at Koch L6-L7)
     eps = np.finfo(float).eps
     for level in (6, 7):
         grid = fc.build_koch(level)
