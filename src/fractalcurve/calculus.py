@@ -147,12 +147,9 @@ def falpha_derivative(f: FieldOnCurve) -> FieldOnCurve:
     # would be the largest allocation of a continuity check
     np.subtract(y[2:], y[:-2], out=out[1:-1])
     out[1:-1] /= s[2:] - s[:-2]
-    if len(y) >= 3:
-        k = min(4, len(y))
-        out[0] = _apply_stencil(finite_difference_weights(s[:k], s[0], 1), y[:k])
-        out[-1] = _apply_stencil(finite_difference_weights(s[-k:], s[-1], 1), y[-k:])
-    else:
-        out[0] = out[-1] = (y[1] - y[0]) / (s[1] - s[0])
+    k = min(4, len(y))  # 2 nodes: the two-point difference at both ends
+    out[0] = _apply_stencil(finite_difference_weights(s[:k], s[0], 1), y[:k])
+    out[-1] = _apply_stencil(finite_difference_weights(s[-k:], s[-1], 1), y[-k:])
     return f.with_values(out)
 
 

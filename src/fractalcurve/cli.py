@@ -554,6 +554,7 @@ def _run_evolution(cfg, out_dir: Path, write_snapshots: bool) -> int:
                 res = continuity_residual(pa, pb, psi).values
                 l2 = math.sqrt(float(falpha_integral(pb.field.with_values(res ** 2))))
                 rows.append((pb.tau, float(np.max(res)), l2, total_probability(pb)))
+                del res  # its memory is free for the next snapshot
             if done == steps:
                 break
             n = min(stride, steps - done)

@@ -11,7 +11,7 @@ serves as the coordinate chart for all calculus on the curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -159,47 +159,24 @@ class DimensionEstimate:
     slopes_per_level: tuple[float, ...] = field(default=())
 
     def to_report_dict(self) -> dict:
-        return {
-            "alpha_star": self.alpha_star,
-            "bracket": list(self.bracket),
-            "levels_used": list(self.levels_used),
-            "slope_at_alpha": self.slope_at_alpha,
-            "slopes_per_level": list(self.slopes_per_level),
-        }
+        return asdict(self)
 
 
-_BELOW, _ABOVE, _AT = "below", "above", "at"
-_ALPHA_BRACKET = (0.05, 3.0)  # first exponents tried; widened until they bracket
+_ALPHA_BRACKET = (0.05, 3.0)  # first bracket; moved to (lo/2, lo) or (hi, 2 hi) until it holds
 _TIE_TOL = 1e-9  # per-level log differences within this count as flat
-
-
-def _classify(diffs: np.ndarray, alpha: float) -> str:
-    pos = diffs > _TIE_TOL
-    neg = diffs < -_TIE_TOL
-    if not pos.any() and not neg.any():
-        return _AT
-    if not neg.any():
-        return _BELOW
-    if not pos.any():
-        return _ABOVE
-    raise EstimationFailureError(
-        f"log pre-measure is not monotone across levels at alpha={alpha!r}; "
-        "the curve family does not show a clean refinement dichotomy",
-        alpha=alpha,
-        slopes=diffs,
-    )
 
 
 def estimate_gamma_dimension(grids, tol: float) -> DimensionEstimate:
     """Locate the exponent where the per-level pre-measure flips growth direction.
 
     For each candidate alpha the finest-mesh pre-measure is computed on
-    every grid; alpha is classified *below* the dimension when the log
-    pre-measure increases with level and *above* when it decreases.
-    Bisection returns the sign-change exponent to within ``tol``.
+    every grid; alpha is *below* the dimension (side -1) when the log
+    pre-measure increases with level and *above* it (side 1) when it
+    decreases.  Bisection returns the sign-change exponent to within ``tol``.
 
     Raises :class:`EstimationFailureError` when the per-level logs are not
-    monotone (no dichotomy) or when no bracket can be established.
+    monotone (no dichotomy), when a pre-measure is outside (0, inf), or
+    when no bracket can be established.
     """
     grids = list(grids)
     if len(grids) < 3:
@@ -211,41 +188,47 @@ def estimate_gamma_dimension(grids, tol: float) -> DimensionEstimate:
         raise ValueError("tol must be positive")
 
     def logs(alpha: float) -> np.ndarray:
-        return np.array([math.log(gamma_premeasure(g, alpha).value) for g in grids])
+        values = [gamma_premeasure(g, alpha).value for g in grids]
+        if not all(0.0 < v < math.inf for v in values):
+            raise EstimationFailureError(f"pre-measure outside the float range (0, inf) at "
+                                         f"alpha={alpha!r}: {values!r}", alpha=alpha)
+        return np.array([math.log(v) for v in values])
 
-    def classify(alpha: float) -> str:
-        return _classify(np.diff(logs(alpha)), alpha)
+    def side(alpha: float) -> int:
+        diffs = np.diff(logs(alpha))
+        grows = np.any(diffs > _TIE_TOL)
+        falls = np.any(diffs < -_TIE_TOL)
+        if grows and falls:
+            raise EstimationFailureError(
+                f"log pre-measure is not monotone across levels at alpha={alpha!r}; the curve "
+                "family does not show a clean refinement dichotomy", alpha=alpha, slopes=diffs)
+        return int(falls) - int(grows)  # 0: every level is flat
 
     lo, hi = _ALPHA_BRACKET
+    side_lo = side(lo)
+    side_hi = side(hi) if side_lo < 0 else side_lo  # hi is tried only if lo lies below
     for _ in range(60):
-        side = classify(lo)
-        if side == _BELOW:
+        if side_lo * side_hi <= 0:
             break
-        if side == _AT:
-            lo = hi = lo
-            break
-        lo *= 0.5
+        if side_lo > 0:
+            lo, hi, side_hi = 0.5 * lo, lo, side_lo
+            side_lo = side(lo)
+        else:
+            lo, hi, side_lo = hi, 2.0 * hi, side_hi
+            side_hi = side(hi)
     else:
-        raise EstimationFailureError("could not find a lower bracket exponent")
-    for _ in range(60):
-        if lo == hi:
-            break
-        side = classify(hi)
-        if side == _ABOVE:
-            break
-        if side == _AT:
-            lo = hi = hi
-            break
-        hi *= 2.0
-    else:
-        raise EstimationFailureError("could not find an upper bracket exponent")
+        raise EstimationFailureError(f"after 60 moves [{lo!r}, {hi!r}] still misses the dimension")
+    if side_lo == 0:
+        hi = lo
+    if side_hi == 0:
+        lo = hi
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        side = classify(mid)
-        if side == _BELOW:
+        side_mid = side(mid)
+        if side_mid < 0:
             lo = mid
-        elif side == _ABOVE:
+        elif side_mid > 0:
             hi = mid
         else:
             lo = hi = mid

@@ -183,6 +183,17 @@ def test_gradient_koch_matches_tangent_oracle():
     np.testing.assert_allclose(got, oracle, atol=1e-10)
 
 
+@pytest.mark.parametrize("grid", [fc.build_koch(0), fc.build_line((0, 0, 0), (0.3, 0.4, 0), 1)],
+                         ids=["koch-L0", "line-1-segment"])
+def test_two_node_derivative_is_the_chord_difference(grid):
+    chart = fc.build_staircase(grid, KOCH_DIM)
+    f = fc.FieldOnCurve(grid, np.array([0.7, -1.3]), chart)
+    want = (f.values[1] - f.values[0]) / (chart.values[1] - chart.values[0])
+    np.testing.assert_array_max_ulp(fc.falpha_derivative(f).values, np.full(2, want), maxulp=2)
+    with pytest.raises(AlignmentError):
+        fc.laplacian(f)
+
+
 def test_laplacian_quadratic_exactness():
     f, _ = koch_field(5, lambda s: s ** 2)
     np.testing.assert_allclose(fc.laplacian(f).values, 2.0, rtol=0, atol=1e-9)

@@ -650,6 +650,22 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert diag["slopes"] == [0.1, -0.2]
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("dimension", {"curve": {"kind": "line", "end": [1e-110, 0, 0]},
+                   "dimension": {"levels": [1, 2, 3, 4]}}),
+    ("staircase", {"curve": {"kind": "line", "segments": 8, "end": [1e-110, 0, 0]},
+                   "alpha_space": "auto"}),
+], ids=["dimension", "staircase-auto-alpha"])
+def test_underflowing_premeasure_exits_1_without_traceback(tmp_path, capfd, command, cfg):
+    # chords of 1e-110 / 2^L: the pre-measure at alpha = 3 is below the
+    # smallest float, and its log does not exist
+    out = tmp_path / "out"
+    assert run_cli([command, write_cfg(tmp_path / "cfg.json", {**cfg, "output": str(out)})]) == 1
+    diag = json.loads((out / "error.json").read_text())
+    assert diag["error"] == "EstimationFailureError" and "alpha=3.0" in diag["message"]
+    assert "Traceback" not in capfd.readouterr().err
+
+
 # an evolve run with five snapshots, the first at step 0
 _SNAPSHOT_RUN = {**_KOCH3, "alpha_space": KOCH_DIM,
                  "run": {"d_tau": 1e-3, "steps": 20, "snapshot_stride": 5,

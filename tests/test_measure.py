@@ -263,6 +263,64 @@ def test_estimate_dimension_failure_carries_slopes():
     assert exc.value.slopes is not None and len(exc.value.slopes) == 2
 
 
+def _x_axis_grid(level, positions):
+    n = len(positions) - 1
+    points = np.zeros((n + 1, 3))
+    points[:, 0] = positions
+    return fc.CurveGrid(np.arange(n + 1) / n, points, level=level, param_domain=(0.0, 1.0))
+
+
+def thin_dust(level):
+    # two pieces of ratio 1e-7 with the gap skipped: 2^L chords of (1e-7)^L
+    return _x_axis_grid(level, np.arange(2 ** level + 1) * 1e-7 ** level)
+
+
+def zigzag(branches, level):
+    # back and forth on the x-axis: branches^L chords of 2^-L
+    return _x_axis_grid(level, (np.arange(branches ** level + 1) % 2) * 0.5 ** level)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9])
+@pytest.mark.parametrize("family,levels,dim,ratio", [
+    (thin_dust, range(1, 4), math.log(2.0) / math.log(1e7), 1e-7),
+    (lambda l: zigzag(10, l), range(1, 5), math.log2(10.0), 0.5),
+], ids=["thin-dust-below-0.05", "zigzag-above-3"])
+def test_dimension_outside_the_first_bracket(family, levels, dim, ratio, tol):
+    # the first bracket (0.05, 3.0) misses the dimension, so it must move;
+    # exponents whose per-level log slope |alpha - dim| log(1/ratio) is
+    # within the tie tolerance count as the dimension
+    est = fc.estimate_gamma_dimension([family(l) for l in levels], tol=tol)
+    lo, hi = est.bracket
+    assert lo <= est.alpha_star <= hi and hi - lo <= tol
+    assert abs(est.alpha_star - dim) <= tol + measure._TIE_TOL / math.log(1.0 / ratio)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9])
+def test_dimension_at_a_flat_bracket_end_is_that_end(tol):
+    # 8^L chords of 2^-L: at alpha = 3 every level's pre-measure is 1/6
+    est = fc.estimate_gamma_dimension([zigzag(8, l) for l in range(1, 5)], tol=tol)
+    assert est.alpha_star == 3.0 and est.bracket == (3.0, 3.0)
+
+
+def test_estimate_dimension_rejects_an_underflowing_premeasure():
+    # at alpha = 3 the chords of 1e-110 / 3^L give pre-measures below the
+    # smallest float, whose log does not exist
+    grids = [fc.build_koch(l).scaled(1e-110) for l in range(2, 7)]
+    with pytest.raises(EstimationFailureError) as exc:
+        fc.estimate_gamma_dimension(grids, tol=1e-3)
+    assert exc.value.alpha == 3.0
+
+
+def test_estimate_dimension_rejects_an_overflowing_premeasure():
+    # at alpha = 3 the chords of 1e105 / 3^L give infinite pre-measures,
+    # whose differences are NaN and must not read as flat
+    grids = [fc.build_koch(l).scaled(1e105) for l in range(2, 7)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EstimationFailureError) as exc:
+            fc.estimate_gamma_dimension(grids, tol=1e-3)
+    assert exc.value.alpha == 3.0
+
+
 def test_report_dict_fields():
     grids = [fc.build_koch(l) for l in range(2, 6)]
     report = fc.estimate_gamma_dimension(grids, tol=1e-2).to_report_dict()
