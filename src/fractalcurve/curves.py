@@ -42,6 +42,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _row_norms(rows: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norms of the rows of ``rows`` (less ``minus``), one coordinate at a time.
+
+    The squares are added left to right, as ``np.linalg.norm(axis=1)`` adds
+    them, so the bits are the same without an (n, 3) difference or square.
+    """
+    norms = np.zeros(len(rows))
+    col = np.empty(len(rows))
+    for k in range(3):
+        if minus is None:
+            np.multiply(rows[:, k], rows[:, k], out=col)
+        else:
+            np.subtract(rows[:, k], minus[:, k], out=col)
+            col *= col
+        norms += col
+    return np.sqrt(norms, out=norms)
+
+
 @dataclass(eq=False)
 class CurveGrid:
     """Discrete sampling of a parameterized curve at one refinement level.
@@ -82,7 +100,7 @@ class CurveGrid:
         """Euclidean lengths |w(v_{i+1}) - w(v_i)| of the node chords."""
         cached = getattr(self, "_chords", None)
         if cached is None:
-            cached = _freeze(np.linalg.norm(np.diff(self.points, axis=0), axis=1))
+            cached = _freeze(_row_norms(self.points[1:], self.points[:-1]))
             object.__setattr__(self, "_chords", cached)
         return cached
 
@@ -109,13 +127,14 @@ class CurveGrid:
         if cached is None:
             p = self.points
             t = np.empty_like(p)
-            t[1:-1] = p[2:] - p[:-2]
+            np.subtract(p[2:], p[:-2], out=t[1:-1])
             t[0] = p[1] - p[0]
             t[-1] = p[-1] - p[-2]
-            norms = np.linalg.norm(t, axis=1)
+            norms = _row_norms(t)
             if np.any(norms == 0.0):
                 raise DegenerateCurveError("degenerate tangent (coincident neighbors)")
-            cached = _freeze(t / norms[:, None])
+            t /= norms[:, None]
+            cached = _freeze(t)
             object.__setattr__(self, "_tangents", cached)
         return cached
 
@@ -217,9 +236,16 @@ def build_generator_curve(generator: GeneratorSpec, level: int) -> CurveGrid:
     _check_level(level, generator.segment_count)
     pts = np.array([_ORIGIN, _E1])
     for _ in range(level):
-        blocks = [m.apply(pts) for m in generator.segments]
-        # endpoint sharing was validated on the generator; drop the duplicates
-        pts = np.concatenate([blocks[0]] + [blk[1:] for blk in blocks[1:]])
+        n = len(pts) - 1
+        nxt = np.empty((generator.segment_count * n + 1, 3))
+        # endpoint sharing was validated on the generator; writing the maps
+        # last one first leaves each shared node with the earlier map's copy
+        for k in reversed(range(generator.segment_count)):
+            block = nxt[k * n:(k + 1) * n + 1]
+            m = generator.segments[k]
+            np.matmul(pts, m._linear, out=block)
+            block += m.translation
+        pts = nxt
     n = len(pts) - 1  # n >= 1: pts starts with two nodes and no level shrinks it
     params = np.arange(n + 1, dtype=float) / n
     return CurveGrid(params=params, points=pts, level=level, param_domain=(0.0, 1.0))
@@ -256,10 +282,8 @@ def _cantor_intervals(T: float, level: int) -> np.ndarray:
         lo = intervals[:, 0]
         hi = intervals[:, 1]
         third = (hi - lo) / 3.0
-        left = np.stack([lo, lo + third], axis=1)
-        right = np.stack([hi - third, hi], axis=1)
-        intervals = np.concatenate([left, right])
-        intervals = intervals[np.argsort(intervals[:, 0])]
+        # each parent's two thirds, in order: the kept intervals stay sorted
+        intervals = np.stack([lo, lo + third, hi - third, hi], axis=1).reshape(-1, 2)
     return intervals
 
 
@@ -279,10 +303,8 @@ def build_cantor_dust(level: int, T: float = 1.0) -> CurveGrid:
     _check_level(level, 2)
     intervals = _cantor_intervals(T, level)
     params = np.concatenate([intervals[:, 0], intervals[-1:, 1]])
-    kept = intervals[:, 1] - intervals[:, 0]
-    positions = np.concatenate([[0.0], np.cumsum(kept)])
     pts = np.zeros((len(params), 3))
-    pts[:, 0] = positions
+    np.cumsum(intervals[:, 1] - intervals[:, 0], out=pts[1:, 0])
     return CurveGrid(params=params, points=pts, level=level, param_domain=(0.0, T))
 
 

@@ -130,10 +130,11 @@ def build_staircase(grid: CurveGrid, alpha: float, p0: float | None = None) -> S
         p0 = float(grid.params[0])
     if not (grid.param_domain[0] <= p0 <= grid.param_domain[1]):
         raise ValueError("p0 must lie inside the parameter domain")
-    inc = grid.chord_lengths() ** alpha / math.gamma(alpha + 1.0)
-    cum = np.concatenate([[0.0], np.cumsum(inc)])
+    values = np.zeros(grid.node_count)
+    np.divide(grid.chord_lengths() ** alpha, math.gamma(alpha + 1.0), out=values[1:])
+    np.cumsum(values, out=values)
     i0 = int(np.argmin(np.abs(grid.params - p0)))
-    values = cum - cum[i0]
+    values -= values[i0]
     return Staircase(alpha=alpha, params=grid.params, values=values, p0=float(grid.params[i0]))
 
 
@@ -163,7 +164,9 @@ class DimensionEstimate:
 
 
 _ALPHA_BRACKET = (0.05, 3.0)  # first bracket; moved to (lo/2, lo) or (hi, 2 hi) until it holds
-_TIE_TOL = 1e-9  # per-level log differences within this count as flat
+# per-level log differences within this count as flat: an exponent within
+# _TIE_TOL / log(1/r) of the dimension may be returned (r the chord ratio per level)
+_TIE_TOL = 1e-9
 
 
 def estimate_gamma_dimension(grids, tol: float) -> DimensionEstimate:
@@ -172,11 +175,13 @@ def estimate_gamma_dimension(grids, tol: float) -> DimensionEstimate:
     For each candidate alpha the finest-mesh pre-measure is computed on
     every grid; alpha is *below* the dimension (side -1) when the log
     pre-measure increases with level and *above* it (side 1) when it
-    decreases.  Bisection returns the sign-change exponent to within ``tol``.
+    decreases.  Bisection returns the sign-change exponent to within
+    ``tol + _TIE_TOL / log(1/r)``, r the per-level chord ratio: exponents
+    that close to the dimension read as flat.
 
     Raises :class:`EstimationFailureError` when the per-level logs are not
-    monotone (no dichotomy), when a pre-measure is outside (0, inf), or
-    when no bracket can be established.
+    monotone (no dichotomy), when a pre-measure or Gamma(alpha + 1) is
+    outside (0, inf), or when no bracket can be established.
     """
     grids = list(grids)
     if len(grids) < 3:
@@ -188,7 +193,11 @@ def estimate_gamma_dimension(grids, tol: float) -> DimensionEstimate:
         raise ValueError("tol must be positive")
 
     def logs(alpha: float) -> np.ndarray:
-        values = [gamma_premeasure(g, alpha).value for g in grids]
+        try:
+            values = [gamma_premeasure(g, alpha).value for g in grids]
+        except OverflowError:
+            raise EstimationFailureError(f"Gamma(alpha + 1) overflows the float range at "
+                                         f"alpha={alpha!r}", alpha=alpha) from None
         if not all(0.0 < v < math.inf for v in values):
             raise EstimationFailureError(f"pre-measure outside the float range (0, inf) at "
                                          f"alpha={alpha!r}: {values!r}", alpha=alpha)

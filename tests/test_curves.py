@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import fractalcurve as fc
 from fractalcurve.errors import DegenerateCurveError, ResourceLimitError
 
-from conftest import CANTOR_DIM
+from conftest import CANTOR_DIM, KOCH_DIM
 
 
 def test_koch_level0_is_unit_segment():
@@ -237,3 +238,113 @@ def test_cantor_time_validation():
         fc.build_cantor_time(-1.0, 2)
     with pytest.raises(ValueError):
         fc.build_cantor_time(1.0, -1)
+
+
+# --- the builders against the formulas they replaced, bit for bit ------------
+# The builders write each level once and norm one coordinate at a time; these
+# references are the plain formulas (a block per map, (n, 3) differences,
+# np.linalg.norm, a sort per Cantor level, a concatenated cumsum).
+
+
+def _reference_points(generator, level):
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    for _ in range(level):
+        blocks = [m.apply(pts) for m in generator.segments]
+        pts = np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
+    return pts
+
+
+def _reference_intervals(T, level):
+    intervals = np.array([[0.0, T]])
+    for _ in range(level):
+        lo, hi = intervals[:, 0], intervals[:, 1]
+        third = (hi - lo) / 3.0
+        intervals = np.concatenate([np.stack([lo, lo + third], axis=1),
+                                    np.stack([hi - third, hi], axis=1)])
+        intervals = intervals[np.argsort(intervals[:, 0])]
+    return intervals
+
+
+def _reference_chart(grid, alpha, p0):
+    inc = np.linalg.norm(np.diff(grid.points, axis=0), axis=1) ** alpha / math.gamma(alpha + 1.0)
+    cum = np.concatenate([[0.0], np.cumsum(inc)])
+    p0 = grid.params[0] if p0 is None else p0
+    return cum - cum[int(np.argmin(np.abs(grid.params - p0)))]
+
+
+def _assert_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_grid_bits(g, params, points):
+    _assert_bits(g.params, params)
+    _assert_bits(g.points, points)
+    chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    _assert_bits(g.chord_lengths(), chords)
+    for got, want in zip(g.chord_spectrum(), np.unique(chords, return_counts=True)):
+        _assert_bits(got, want)
+    t = np.empty_like(points)
+    t[1:-1] = points[2:] - points[:-2]
+    t[0] = points[1] - points[0]
+    t[-1] = points[-1] - points[-2]
+    _assert_bits(g.unit_tangents(), t / np.linalg.norm(t, axis=1)[:, None])
+
+
+@pytest.mark.parametrize("generator,levels", [(fc.koch_generator(), range(10)),
+                                              (_twisted_generator(), range(15))],
+                         ids=["koch-0-9", "twisted-0-14"])
+def test_generator_grids_match_the_reference_formulas_bit_for_bit(generator, levels):
+    for level in levels:
+        points = _reference_points(generator, level)
+        n = len(points) - 1
+        g = fc.build_generator_curve(generator, level)
+        _assert_grid_bits(g, np.arange(n + 1, dtype=float) / n, points)
+
+
+def test_cantor_grids_match_the_reference_formulas_bit_for_bit():
+    for level in range(21):
+        intervals = _reference_intervals(0.7, level)
+        points = np.zeros((len(intervals) + 1, 3))
+        points[:, 0] = np.concatenate([[0.0], np.cumsum(intervals[:, 1] - intervals[:, 0])])
+        params = np.concatenate([intervals[:, 0], intervals[-1:, 1]])
+        _assert_grid_bits(fc.build_cantor_dust(level, 0.7), params, points)
+    for level in range(13):
+        _assert_bits(fc.build_cantor_time(0.7, level).kept_intervals,
+                     _reference_intervals(0.7, level))
+
+
+@pytest.mark.parametrize("p0", [None, 0.5, 0.37])
+@pytest.mark.parametrize("alpha", [1.0, KOCH_DIM, 2.5])
+def test_charts_match_the_reference_formula_bit_for_bit(alpha, p0):
+    for grid in (fc.build_koch(7), fc.build_generator_curve(_twisted_generator(), 12),
+                 fc.build_cantor_dust(10, 0.7)):
+        stair = fc.build_staircase(grid, alpha, p0)
+        values = _reference_chart(grid, alpha, p0)
+        _assert_bits(stair.values, values)
+        _assert_bits(stair.increments, np.diff(values))
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_koch_build_allocates_little_beyond_its_grid():
+    # one array per level and one coordinate column at a time: 1.4 times what
+    # the grid keeps (3.2 with a block per map and (n, 3) chord differences)
+    g, peak = _traced_peak(lambda: fc.build_koch(9))
+    kept = g.points.nbytes + g.params.nbytes + g.chord_lengths().nbytes
+    assert peak <= 1.5 * kept
+
+
+def test_staircase_allocates_little_beyond_its_chart():
+    # values written in place: 1.5 times what the chart keeps (2.5 with a
+    # concatenated cumsum)
+    grid = fc.build_koch(9)
+    stair, peak = _traced_peak(lambda: fc.build_staircase(grid, KOCH_DIM, 0.37))
+    kept = stair.values.nbytes + stair.increments.nbytes
+    assert peak <= 1.75 * kept

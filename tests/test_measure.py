@@ -321,6 +321,15 @@ def test_estimate_dimension_rejects_an_overflowing_premeasure():
     assert exc.value.alpha == 3.0
 
 
+def test_estimate_dimension_rejects_an_overflowing_gamma():
+    # 2^L chords of 0.999^L have dimension log 2 / -log 0.999 (about 693); the
+    # bracket doubles to 192, where Gamma(alpha + 1) exceeds the float range
+    grids = [_x_axis_grid(l, (np.arange(2 ** l + 1) % 2) * 0.999 ** l) for l in (1, 2, 3)]
+    with pytest.raises(EstimationFailureError) as exc:
+        fc.estimate_gamma_dimension(grids, tol=1e-3)
+    assert exc.value.alpha == 192.0
+
+
 def test_report_dict_fields():
     grids = [fc.build_koch(l) for l in range(2, 6)]
     report = fc.estimate_gamma_dimension(grids, tol=1e-2).to_report_dict()
