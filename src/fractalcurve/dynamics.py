@@ -13,18 +13,20 @@ B = 2I - A, so a step A^-1 B phi = 2 A^-1 phi - phi is one solve and one
 axpy, phi being theta scaled by the square roots of the node weights.  A is
 tridiagonal but for the corner couplings of periodic grids.  It is split
 as A = T + U V^T: T is block-diagonal tridiagonal, each block factored
-with LAPACK ``zgttrf`` and solved with ``zgttrs``, and each coupling that
-T leaves out (a *cut edge*: the periodic seam, and the middle edge of a
-grid of at least ``_N_SPLIT`` unknowns) is one rank-one term of U V^T,
-folded in by the Woodbury identity: the spikes W = T^-1 U are solved
-with the factors, and each step solves the at most 2 x 2 system
+with LAPACK ``zgttrf`` and solved with ``zgttrs``, and each coupling
+c = A[p, q] = A[q, p] that T leaves out (a *cut edge*: the periodic seam,
+and the middle edge of a grid of at least ``_N_SPLIT`` unknowns) is one
+symmetric rank-one term c v v^T with v = e_p + e_q.  T = I + i lam H' with
+H' real and symmetric, so T is normal and |T^-1| <= 1 at any V.  The cut
+terms are folded in by the Woodbury identity: the spikes W = T^-1 U are
+solved with the factors, and each step solves the at most 2 x 2 system
 (I + V^T W) t = V^T y once, on scalars.
-Large grids are thus stepped as two blocks, one per thread, which meet
-at one barrier per step whose action solves that system; the block
-count depends on the unknown count alone, so results do not depend on
-the CPU count.  Cantor-like time supports are honored implicitly: tau is
-staircase time, so no evolution is attributed to the removed gaps where
-the time staircase is flat.
+Large grids are thus stepped as two blocks, one per thread; the blocks
+meet at one barrier per step, of as many parties as blocks, whose action
+solves that system.  The block count depends on the unknown count alone,
+so results do not depend on the CPU count.  Cantor-like time supports
+are honored implicitly: tau is staircase time, so no evolution is
+attributed to the removed gaps where the time staircase is flat.
 
 The single-step kernel propagator applies the infinitesimal free-particle
 amplitude exp[i m delta^2 / (2 hbar eps)] as a discrete convolution; its
@@ -349,10 +351,10 @@ class CrankNicolsonEvolver:
 
     A grid of at least ``_N_SPLIT`` unknowns is stepped as two blocks:
     each ``step(n)`` call runs the second block on a thread of its own,
-    joined before it returns, and the blocks meet at one barrier per
-    step, whose action solves the cut system for both.  A time-dependent
-    potential's ``time_dependence`` is then called from both threads, so
-    it must be a function of tau alone.
+    joined before it returns.  On a grid with a cut, every block, a lone
+    one too, meets the others at one barrier per step, whose action
+    solves the cut system for all.  A time-dependent potential's ``time_dependence`` is then
+    called from both threads, so it must be a function of tau alone.
     """
 
     def __init__(self, psi: WaveFunction, potential: PotentialOnCurve | None = None,
@@ -377,24 +379,16 @@ class CrankNicolsonEvolver:
         n = len(self.phi)
         mid = n // 2 if n >= _N_SPLIT else n
         self._blocks = [slice(0, mid), slice(mid, n)] if mid < n else [slice(0, n)]
-        # each cut edge (p, q, e) couples node p of the first block to node q
-        # of the last by A[p, q] = i lam off[e]: the seam, whose coupling is
-        # the wrap edge's, then the middle edge
+        # each cut edge (p, q, c) couples node p of the first block to node q
+        # of the last by A[p, q] = A[q, p] = c = i lam off[e]: the seam, whose
+        # coupling is the wrap edge's, then the middle edge
         cuts = []
         if periodic:
             cuts.append((0, n - 1, n - 1))
         if mid < n:
             cuts.append((mid - 1, mid, mid - 1))
-        self._p = [p for p, _, _ in cuts]
-        self._q = [q for _, q, _ in cuts]
-        self._c = list(1j * self._lam * off[[e for _, _, e in cuts]])
-        v = v[self._dof]
-        self._h = (kinetic, off, v)
-        # g = -A[p, p] at V's own samples, fixed for every step: T[p, p] =
-        # A[p, p] - g then has real part 2 at any V multiplier, so it cannot
-        # cancel, and the ratios c/g are constants
-        self._g = [-complex(1.0, self._lam * (kinetic[p] + v[p])) for p in self._p]
-        self._ratios = [complex(c / g) for c, g in zip(self._c, self._g)]
+        self._cuts = [(p, q, complex(1j * self._lam * off[e])) for p, q, e in cuts]
+        self._h = (kinetic, off, v[self._dof])
         # A's bands, factored in place block by block (zgttrf adds du2 and ipiv)
         self._lu = [[np.empty(b.stop - b.start - 1, dtype=complex),
                      np.empty(b.stop - b.start, dtype=complex),
@@ -418,61 +412,57 @@ class CrankNicolsonEvolver:
     def _factor(self, b: int, mod: float):
         """Factor block b of T at V multiplier ``mod`` and solve its slices of the spikes T^-1 U.
 
-        T is A = I + i lam H less the cut couplings.  Cut edge j is the
-        rank-one term u v^T with u = g e_p + c e_q and v = e_p + (c/g) e_q,
-        so T[p, p] = A[p, p] - g and T[q, q] = A[q, q] - c^2/g.
+        Cut edge (p, q, c) is the rank-one term c v v^T with v = e_p + e_q,
+        so T[p, p] = A[p, p] - c, T[q, q] = A[q, q] - c and the edge's spike
+        right-hand side is c at p and at q.
         """
         kinetic, off, v = self._h
         sl = self._blocks[b]
         dl, d, du = self._lu[b][:3]
+        w = self._spikes[:, sl]
+        w[:] = 0.0
         np.multiply(1j * self._lam, off[sl.start:sl.stop - 1], out=dl)
         np.copyto(du, dl)
         np.multiply(v[sl], mod, out=d.imag)
         np.add(kinetic[sl], d.imag, out=d.imag)
         np.multiply(d.imag, self._lam, out=d.imag)
         d.real = 1.0
-        for p, q, c, g in zip(self._p, self._q, self._c, self._g):
-            if sl.start <= p < sl.stop:
-                d[p - sl.start] -= g
-            if sl.start <= q < sl.stop:
-                d[q - sl.start] -= c * c / g
+        for wj, (p, q, c) in zip(w, self._cuts):
+            for node in (p, q):
+                if sl.start <= node < sl.stop:
+                    d[node - sl.start] -= c
+                    wj[node - sl.start] = c
         *lu, info = _lapack().zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:
             raise SolverError(f"Crank-Nicolson factorization failed (LAPACK info {info})")
         self._lu[b] = lu
-        for w, p, q, c, g in zip(self._spikes[:, sl], self._p, self._q, self._c, self._g):
-            w[:] = 0.0
-            if sl.start <= p < sl.stop:
-                w[p - sl.start] = g
-            if sl.start <= q < sl.stop:
-                w[q - sl.start] = c
-            _, info = _lapack().zgttrs(*lu, w, overwrite_b=1)
+        for wj in w:
+            _, info = _lapack().zgttrs(*lu, wj, overwrite_b=1)
             if info != 0:
                 raise SolverError(f"Crank-Nicolson solve failed (LAPACK info {info})")
 
     def _woodbury_matrix(self) -> list:
         """M = I + V^T W, from the spikes W at the cut nodes, as Python scalars."""
-        wp, wq = self._spikes[:, self._p].tolist(), self._spikes[:, self._q].tolist()
-        return [[(j == l) + wp[l][j] + r * wq[l][j] for l in range(len(wp))]
-                for j, r in enumerate(self._ratios)]
+        return [[(j == l) + complex(w[p] + w[q]) for l, w in enumerate(self._spikes)]
+                for j, (p, q, _) in enumerate(self._cuts)]
 
     def _solve_cuts(self, solution):
         """Solve M t = V^T y into ``_t``, y read at the cut nodes of ``solution``.
 
         A time-dependent H first rebuilds M from its freshly solved spikes.
-        Two blocks run this as their barrier's action: once per step, in one
-        thread, while neither block writes.
+        The blocks run this as their barrier's action: once per step, in one
+        thread, while no block writes.
         """
         if not self._static:
             self._m = self._woodbury_matrix()
-        yp, yq = solution[self._p].tolist(), solution[self._q].tolist()
-        self._t = _solve_woodbury(self._m, [a + r * b for a, r, b in zip(yp, self._ratios, yq)])
+        self._t = _solve_woodbury(self._m, [complex(solution[p] + solution[q])
+                                            for p, q, _ in self._cuts])
 
     def _run(self, b: int, steps: int, tau: float, solution, meet):
         """``steps`` Cayley steps of block b from ``tau``, calling ``meet()`` for each step's t.
 
         ``solution`` is the buffer, as long as phi, that the solves overwrite;
-        ``meet`` solves the cut system, or waits at the barrier whose action does.
+        ``meet`` waits at the barrier whose action solves the cut system.
         """
         zgttrs = _lapack().zgttrs
         sl = self._blocks[b]
@@ -492,7 +482,7 @@ class CrankNicolsonEvolver:
                 raise SolverError(f"Crank-Nicolson solve failed (LAPACK info {info})")
             if cuts:
                 meet()
-            # the next step's t is solved only once this block meets the other again
+            # the next step's t is solved only once the blocks meet again
             t = self._t
             # x <- y - W t, then phi <- 2 x - phi, written to both x and phi
             for xc, pc, wc, tmp in chunks:
@@ -516,48 +506,41 @@ class CrankNicolsonEvolver:
         step, on scalars: V^T y needs y only at the cut nodes, and
         M = I + V^T W the spikes only there.  A time-dependent H first
         re-factors each block and re-solves its spike slices, and M is
-        rebuilt.  Two blocks meet at one barrier per step, whose action
-        solves for t from both blocks' values in the shared buffer.  An
-        exception in either block, or in that action, is raised here after
-        both have stopped; phi is then left part-stepped.
+        rebuilt.  The blocks meet at one barrier per step, of as many
+        parties as blocks, whose action solves for t from their values in
+        the shared buffer: block 0 runs in this thread and each other block
+        on a thread joined before ``step`` returns.  An exception in any
+        block, or in that action, is raised here once all have stopped;
+        phi is then left part-stepped.
         """
         if n < 0:
             raise ValueError("steps must be non-negative")
         # the solves' buffer lives for one call, so between calls its memory
         # serves the caller's own work on the snapshots
         solution = np.empty_like(self.phi)
-        if len(self._blocks) == 1:
-            self._run(0, n, self.tau, solution, functools.partial(self._solve_cuts, solution))
-        else:
-            self._run_two_blocks(n, solution)
-        return self
+        barrier = threading.Barrier(len(self._blocks),
+                                    action=functools.partial(self._solve_cuts, solution))
+        failures, tau = [], self.tau
 
-    def _run_two_blocks(self, n: int, solution):
-        """:meth:`_run` of block 0 here and of block 1 on a thread joined before returning."""
-        barrier = threading.Barrier(2, action=functools.partial(self._solve_cuts, solution))
-        failure = []
-
-        def second_block(tau):
+        def run(b):
             try:
-                self._run(1, n, tau, solution, barrier.wait)
-            except BaseException as exc:  # raised again by the caller below
-                failure.append(exc)
+                self._run(b, n, tau, solution, barrier.wait)
+            except BaseException as exc:  # raised again below
+                failures.append(exc)
                 barrier.abort()
 
-        worker = threading.Thread(target=second_block, args=(self.tau,),
-                                  name="cayley-block-1", daemon=True)
-        worker.start()
-        try:
-            self._run(0, n, self.tau, solution, barrier.wait)
-        except BaseException as exc:
-            barrier.abort()
+        workers = [threading.Thread(target=run, args=(b,), name=f"cayley-block-{b}", daemon=True)
+                   for b in range(1, len(self._blocks))]
+        for worker in workers:
+            worker.start()
+        run(0)
+        for worker in workers:
             worker.join()
-            if failure and isinstance(exc, threading.BrokenBarrierError):
-                raise failure[0] from None
-            raise
-        worker.join()
-        if failure:
-            raise failure[0]
+        if failures:
+            # a block stopped by another's abort reports only the broken barrier
+            raise next((exc for exc in failures
+                        if not isinstance(exc, threading.BrokenBarrierError)), failures[0])
+        return self
 
     @property
     def dispersion_r(self) -> float:

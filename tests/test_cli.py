@@ -758,14 +758,16 @@ def test_evolve_forks_its_writer_while_no_stepping_thread_is_alive(tmp_path, mon
         at_fork.append(threading.active_count())
         return fork()
 
-    two_blocks = dynamics.CrankNicolsonEvolver._run_two_blocks
+    step = dynamics.CrankNicolsonEvolver.step
 
-    def counted_two_blocks(self, n, solution):
-        two_blocks(self, n, solution)
+    def counted_step(self, n=1):
+        assert len(self._blocks) == 2
+        step(self, n)
         after_steps.append(threading.active_count())
+        return self
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(dynamics.CrankNicolsonEvolver, "_run_two_blocks", counted_two_blocks)
+    monkeypatch.setattr(dynamics.CrankNicolsonEvolver, "step", counted_step)
     cfg = write_cfg(tmp_path / "cfg.json", {**_SNAPSHOT_RUN, "output": str(tmp_path / "out")})
     assert run_cli(["evolve", cfg]) == 0
     assert at_fork == [1]

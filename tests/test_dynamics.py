@@ -205,9 +205,10 @@ def test_crank_nicolson_step_matches_dense_oracle(boundary, n, split, monkeypatc
     # the explicit B = I - i lam H and H = W^-1/2 K W^-1/2 + V built densely
     # from the chart, under a static potential and three time-dependent
     # ones, whose multipliers run from 1 up to 2, down to -9 and down to
-    # -250 (the cut's g, fixed at multiplier 1, serves them all); split,
-    # the grid is stepped as two blocks joined by the cut correction (the
-    # uneven Dirichlet grid's 63 unknowns make blocks of 31 and 32)
+    # -250 (at any multiplier T = I + i lam H' with H' real and symmetric,
+    # so T's eigenvalues lie on Re = 1 and |T^-1| <= 1); split, the grid
+    # is stepped as two blocks joined by the cut correction (the uneven
+    # Dirichlet grid's 63 unknowns make blocks of 31 and 32)
     _split_at(monkeypatch, split)
     psi, static = _harmonic_state(n, boundary)
     periodic = boundary == "periodic"
@@ -254,17 +255,26 @@ def test_split_step_leaves_no_thread_alive(monkeypatch, boundary):
         assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("failing,boundary", [
-    pytest.param("worker", "dirichlet", id="worker"),
-    pytest.param("caller", "dirichlet", id="caller"),
-    *(pytest.param("cuts", boundary, id="cuts-" + boundary)
-      for boundary in ("dirichlet", "periodic"))])
-def test_split_solver_error_in_either_thread_is_raised_by_step(monkeypatch, failing, boundary):
+@pytest.mark.parametrize("failing,boundary,split", [
+    pytest.param("worker", "dirichlet", True, id="worker"),
+    pytest.param("caller", "dirichlet", True, id="caller"),
+    *(pytest.param("cuts", boundary, True, id="cuts-" + boundary)
+      for boundary in ("dirichlet", "periodic")),
+    pytest.param("cuts", "periodic", False, id="cuts-periodic-unsplit")])
+def test_split_solver_error_in_either_thread_is_raised_by_step(monkeypatch, failing, boundary,
+                                                               split):
     # a solve that fails in one block's thread stops the other at the
     # barrier, and a cut solve that fails in the barrier's action (in
     # whichever thread runs it) stops both; step() raises the error once
-    # both threads are done
-    ev = _split_evolver(monkeypatch, boundary)
+    # both threads are done.  Unsplit, a periodic grid is one block whose
+    # one cut is the seam: its barrier of one party runs the same action,
+    # and the same failure collection raises the error
+    if split:
+        ev = _split_evolver(monkeypatch, boundary)
+    else:
+        psi, static = _harmonic_state(64, boundary)
+        ev = fc.CrankNicolsonEvolver(psi, static, d_tau=0.05, boundary=boundary)
+        assert len(ev._blocks) == 1 and len(ev._cuts) == 1
     ev.step(2)
     if failing == "cuts":
         solve_woodbury = dynamics._solve_woodbury
@@ -1342,9 +1352,9 @@ def test_static_cayley_step_conserves_the_energy(curve, boundary, monkeypatch):
     # for a static H the Cayley map (I + i lam H)^-1 (I - i lam H) commutes
     # with H, so E = phi^H H phi is conserved up to roundoff: within
     # c eps |H| |phi|^2 with |H| = |d|_max + 2 |e|_max and c = 1 (measured up
-    # to 0.13 over 500 steps, read every 50).  The packet is off centre and
+    # to 0.14 over 500 steps, read every 50).  The packet is off centre and
     # moving, so E's kinetic and potential parts change; split and periodic
-    # grids put the cut correction's ratios and M into every step
+    # grids put the cut correction's terms c v v^T and M into every step
     curve, split = curve.removesuffix("-split"), curve.endswith("-split")
     _split_at(monkeypatch, split)
     grid, chart = _named_curve(curve)
